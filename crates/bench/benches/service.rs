@@ -1,6 +1,6 @@
 //! Placement-service throughput: solve-per-request vs the selection
-//! cache vs cache + batched worker pool, on an n = 1000 fabric under
-//! delta churn.
+//! cache from one caller vs the same service from several caller
+//! threads, on an n = 1000 fabric under delta churn.
 //!
 //! The workload models a busy scheduler front-end: a pool of 10k+
 //! distinct request specs (45% compute, 45% communication, 10% balanced;
@@ -17,14 +17,18 @@
 //! * **serial** — a fresh solver per request (`selector_for` +
 //!   `select`), the solve-per-request baseline (measured on a prefix of
 //!   the stream, long enough to cover several epochs);
-//! * **cache** — an inline [`PlacementService`] (no workers): canonical
-//!   request → delta-invalidated cache → solve on miss;
-//! * **cache_batch** — a pooled service driven by 4 client threads:
-//!   cache plus single-flight merging and scarcest-first batch drains.
+//! * **cache** — a default-configured [`PlacementService`] called from
+//!   one thread: canonical request → delta-invalidated cache → solve on
+//!   miss, on the calling thread;
+//! * **cache_clients** — the same configuration called from `CLIENTS`
+//!   threads at once (the service has no threads of its own). Two
+//!   callers that miss on one spec both solve it, so its solve count can
+//!   exceed the single-caller mode's; the answers cannot differ.
 //!
-//! Results land in `BENCH_service.json` under `"service"`, including the
-//! honest counters (hits, merges, solves, carry-forwards, evictions)
-//! behind each mode's req/s. `--test`/`--smoke` shrinks every axis.
+//! Results land in `BENCH_service.json` under `"service"`, with the
+//! honest counters (hits, solves, carry-forwards, evictions) behind each
+//! mode's req/s and the provenance of the run (commit, toolchain, core
+//! count, harness). `--test`/`--smoke` shrinks every axis.
 
 use nodesel_bench::conditioned_tree;
 use nodesel_core::{selector_for, CanonicalRequest, SelectError, Selection, SelectionRequest};
@@ -36,7 +40,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Clients driving the pooled mode.
+/// Caller threads in the `cache_clients` mode.
 const CLIENTS: usize = 4;
 
 /// Nodes whose load average moves at every churn point.
@@ -135,7 +139,6 @@ fn stats_json(stats: &Option<ServiceStats>) -> serde_json::Value {
         None => serde_json::Value::Null,
         Some(s) => serde_json::json!({
             "cache_hits": s.cache_hits,
-            "single_flight_merges": s.single_flight_merges,
             "solves": s.solves,
             "shed": s.shed,
             "refused": s.refused,
@@ -145,6 +148,19 @@ fn stats_json(stats: &Option<ServiceStats>) -> serde_json::Value {
             "epochs_published": s.epochs_published,
         }),
     }
+}
+
+/// First line of `program args...`'s output, for the provenance block;
+/// `"unknown"` when it cannot run.
+fn tool_line(program: &str, args: &[&str]) -> String {
+    std::process::Command::new(program)
+        .args(args)
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .and_then(|text| text.lines().next().map(str::to_owned))
+        .unwrap_or_else(|| "unknown".to_owned())
 }
 
 /// Panics unless `doc` carries the service section this bench (and the
@@ -161,12 +177,24 @@ fn validate_schema(doc: &serde_json::Value) {
         "stream_len",
         "churn_every",
         "churn_nodes",
+        "clients",
         "modes",
         "speedup_cache",
-        "speedup_cache_batch",
+        "speedup_cache_clients",
+        "provenance",
     ] {
         assert!(s.get(key).is_some(), "service section lost `{key}`");
     }
+    for key in ["commit", "rustc", "cores", "harness"] {
+        assert!(
+            s["provenance"].get(key).is_some(),
+            "service provenance lost `{key}`"
+        );
+    }
+    assert!(
+        s["provenance"]["cores"].as_u64() != Some(1) || s["speedup_cache_clients"].is_null(),
+        "a multi-client speed-up was reported from a single core"
+    );
     let modes = s["modes"].as_array().expect("service modes is an array");
     assert_eq!(modes.len(), 3, "service modes must cover all three modes");
     for mode in modes {
@@ -175,7 +203,7 @@ fn validate_schema(doc: &serde_json::Value) {
         }
         let label = mode["mode"].as_str().expect("mode label is a string");
         assert!(
-            ["serial", "cache", "cache_batch"].contains(&label),
+            ["serial", "cache", "cache_clients"].contains(&label),
             "unknown service mode {label:?}"
         );
     }
@@ -236,89 +264,56 @@ fn main() {
         stats: None,
     };
 
-    // --- cache: inline service, same stream end to end. ---
-    let svc = PlacementService::new(Arc::new(chain[0].clone()), ServiceConfig::default());
-    let t = Instant::now();
-    let mut digest = 0u64;
-    let mut prefix_digest = 0u64;
-    for c in 0..chunks {
-        if c > 0 {
-            svc.publish(Arc::new(chain[c].clone()), Some(&deltas[c]));
-        }
-        for pos in c * axes.churn_every..(c + 1) * axes.churn_every {
-            let m = mix(pos, &svc.get(&pool[stream[pos]]).result);
-            digest ^= m;
-            if pos < axes.serial_requests {
-                prefix_digest ^= m;
+    // --- cache / cache_clients: one default-configured service, the
+    // same stream end to end, from `clients` caller threads. ---
+    let run_service = |clients: usize| {
+        let svc = PlacementService::new(Arc::new(chain[0].clone()), ServiceConfig::default());
+        let t = Instant::now();
+        let mut digest = 0u64;
+        let mut prefix_digest = 0u64;
+        for c in 0..chunks {
+            if c > 0 {
+                svc.publish(Arc::new(chain[c].clone()), Some(&deltas[c]));
+            }
+            let partials = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..clients)
+                    .map(|client| {
+                        let (svc, pool, stream) = (&svc, &pool, &stream);
+                        scope.spawn(move || {
+                            let (mut d, mut p) = (0u64, 0u64);
+                            for pos in (c * axes.churn_every..(c + 1) * axes.churn_every)
+                                .filter(|pos| pos % clients == client)
+                            {
+                                let m = mix(pos, &svc.get(&pool[stream[pos]]).result);
+                                d ^= m;
+                                if pos < axes.serial_requests {
+                                    p ^= m;
+                                }
+                            }
+                            (d, p)
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("client thread"))
+                    .collect::<Vec<_>>()
+            });
+            for (d, p) in partials {
+                digest ^= d;
+                prefix_digest ^= p;
             }
         }
-    }
-    let cache = ModeResult {
-        requests: axes.stream_len,
-        elapsed_s: t.elapsed().as_secs_f64(),
-        digest,
-        prefix_digest,
-        stats: Some(svc.stats()),
-    };
-    drop(svc);
-
-    // --- cache_batch: pooled service, CLIENTS driver threads. ---
-    let svc = PlacementService::new(
-        Arc::new(chain[0].clone()),
-        ServiceConfig {
-            workers: 2,
-            batch_size: 32,
-            queue_capacity: 256,
-            cache_capacity: 65536,
-            ..ServiceConfig::default()
-        },
-    );
-    let t = Instant::now();
-    let mut digest = 0u64;
-    let mut prefix_digest = 0u64;
-    for c in 0..chunks {
-        if c > 0 {
-            svc.publish(Arc::new(chain[c].clone()), Some(&deltas[c]));
+        ModeResult {
+            requests: axes.stream_len,
+            elapsed_s: t.elapsed().as_secs_f64(),
+            digest,
+            prefix_digest,
+            stats: Some(svc.stats()),
         }
-        let partials = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..CLIENTS)
-                .map(|client| {
-                    let svc = &svc;
-                    let pool = &pool;
-                    let stream = &stream;
-                    scope.spawn(move || {
-                        let (mut d, mut p) = (0u64, 0u64);
-                        for pos in (c * axes.churn_every..(c + 1) * axes.churn_every)
-                            .filter(|pos| pos % CLIENTS == client)
-                        {
-                            let m = mix(pos, &svc.get(&pool[stream[pos]]).result);
-                            d ^= m;
-                            if pos < axes.serial_requests {
-                                p ^= m;
-                            }
-                        }
-                        (d, p)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("client thread"))
-                .collect::<Vec<_>>()
-        });
-        for (d, p) in partials {
-            digest ^= d;
-            prefix_digest ^= p;
-        }
-    }
-    let batch = ModeResult {
-        requests: axes.stream_len,
-        elapsed_s: t.elapsed().as_secs_f64(),
-        digest,
-        prefix_digest,
-        stats: Some(svc.stats()),
     };
-    drop(svc);
+    let cache = run_service(1);
+    let clients = run_service(CLIENTS);
 
     // The whole point: same bits, different bill.
     assert_eq!(
@@ -326,18 +321,18 @@ fn main() {
         "cache-mode answers drifted from solve-per-request"
     );
     assert_eq!(
-        serial.digest, batch.prefix_digest,
-        "batched answers drifted from solve-per-request"
+        serial.digest, clients.prefix_digest,
+        "concurrent callers' answers drifted from solve-per-request"
     );
     assert_eq!(
-        cache.digest, batch.digest,
-        "batched answers drifted from inline-cache answers"
+        cache.digest, clients.digest,
+        "concurrent callers' answers drifted from the single caller's"
     );
     // This bench runs the infallible blocking path under the default
     // (disabled) degrade policy: the accounting identity must balance
     // with the overload buckets empty — a tripwire that the chaos
     // hardening stays invisible until it is asked for.
-    for (label, mode) in [("cache", &cache), ("cache_batch", &batch)] {
+    for (label, mode) in [("cache", &cache), ("cache_clients", &clients)] {
         let s = mode.stats.as_ref().expect("service modes carry counters");
         assert!(s.balanced(), "{label} counters no longer balance");
         assert_eq!(
@@ -350,30 +345,34 @@ fn main() {
     eprintln!("\n=== Placement service throughput (n = {}, {} distinct specs, churn every {} requests) ===",
         axes.n, distinct.len(), axes.churn_every);
     eprintln!(
-        "{:<12} {:>9} {:>10} {:>11} {:>9} {:>8} {:>8}",
-        "mode", "requests", "elapsed_s", "req/s", "hits", "merges", "solves"
+        "{:<14} {:>9} {:>10} {:>11} {:>9} {:>8}",
+        "mode", "requests", "elapsed_s", "req/s", "hits", "solves"
     );
     for (label, mode) in [
         ("serial", &serial),
         ("cache", &cache),
-        ("cache_batch", &batch),
+        ("cache_clients", &clients),
     ] {
-        let (hits, merges, solves) = mode
+        let (hits, solves) = mode
             .stats
             .as_ref()
-            .map_or((0, 0, mode.requests as u64), |s| {
-                (s.cache_hits, s.single_flight_merges, s.solves)
-            });
+            .map_or((0, mode.requests as u64), |s| (s.cache_hits, s.solves));
         eprintln!(
-            "{label:<12} {:>9} {:>10.3} {:>11.0} {hits:>9} {merges:>8} {solves:>8}",
+            "{label:<14} {:>9} {:>10.3} {:>11.0} {hits:>9} {solves:>8}",
             mode.requests,
             mode.elapsed_s,
             mode.rps(),
         );
     }
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
     let speedup_cache = cache.rps() / serial.rps();
-    let speedup_batch = batch.rps() / serial.rps();
-    eprintln!("  speedup: cache {speedup_cache:.1}x, cache+batch {speedup_batch:.1}x over solve-per-request");
+    // Several callers on one core measure the scheduler, not the service.
+    let speedup_clients = (cores > 1).then(|| clients.rps() / serial.rps());
+    eprintln!("  speedup over solve-per-request: cache {speedup_cache:.1}x");
+    match speedup_clients {
+        Some(x) => eprintln!("  {CLIENTS} callers on {cores} cores: {x:.1}x"),
+        None => eprintln!("  {CLIENTS} callers: not reported on a single core"),
+    }
 
     let mode_json = |label: &str, mode: &ModeResult| {
         serde_json::json!({
@@ -402,10 +401,16 @@ fn main() {
         "modes": [
             mode_json("serial", &serial),
             mode_json("cache", &cache),
-            mode_json("cache_batch", &batch),
+            mode_json("cache_clients", &clients),
         ],
         "speedup_cache": speedup_cache,
-        "speedup_cache_batch": speedup_batch,
+        "speedup_cache_clients": speedup_clients,
+        "provenance": {
+            "commit": tool_line("git", &["describe", "--always", "--dirty"]),
+            "rustc": tool_line("rustc", &["-V"]),
+            "cores": cores,
+            "harness": "bench",
+        },
     });
     validate_schema(&doc);
     match std::fs::write(path, format!("{:#}\n", doc)) {

@@ -144,16 +144,6 @@ impl CanonicalRequest {
         self.count
     }
 
-    /// Size of the `allowed` pool (`None` = unrestricted).
-    pub fn allowed_len(&self) -> Option<usize> {
-        self.allowed.as_ref().map(Vec::len)
-    }
-
-    /// Number of pinned (`required`) nodes, duplicates included.
-    pub fn required_len(&self) -> usize {
-        self.required.len()
-    }
-
     /// True when the answer depends on bandwidth annotations: a
     /// communication-aware objective (communication or balanced), or a
     /// bandwidth floor constraint on an otherwise compute-only request.

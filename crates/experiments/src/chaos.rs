@@ -27,8 +27,9 @@
 //! collector's noise/loss streams, the fault plan, and the request mix
 //! are all deterministic, so the committed `BENCH_chaos.json` numbers
 //! regenerate exactly. The separate [`run_soak`] probe is the one
-//! intentionally racy piece — a real worker pool under concurrent
-//! bursts — and only its deterministic aggregates are reported.
+//! intentionally racy piece — concurrent caller threads contending for
+//! a two-slot solve gate — and only its deterministic aggregates are
+//! reported.
 
 use nodesel_core::{SelectError, SelectionRequest};
 use nodesel_remos::{CollectorConfig, Remos};
@@ -408,7 +409,7 @@ pub fn run_chaos(config: &ChaosConfig) -> ChaosOutcome {
                 block_when_full: false,
             };
             match service.get_with(&request, &opts) {
-                Err(ServiceError::DeadlineExceeded { .. }) | Err(ServiceError::Shed { .. }) => {
+                Err(ServiceError::DeadlineExceeded { .. }) | Err(ServiceError::Shed) => {
                     phases[ph].shed += 1;
                 }
                 Err(e) => panic!("unexpected service error at t={now}: {e}"),
@@ -505,8 +506,8 @@ pub fn run_chaos(config: &ChaosConfig) -> ChaosOutcome {
             }
         }
 
-        // The service is quiesced between ticks (inline solving), so the
-        // accounting identity must hold exactly.
+        // The service is quiesced between ticks (every call returned on
+        // this thread), so the accounting identity must hold exactly.
         assert!(
             service.stats().balanced(),
             "request accounting identity broken at t={now}"
@@ -543,19 +544,19 @@ pub fn run_chaos(config: &ChaosConfig) -> ChaosOutcome {
 pub struct SoakReport {
     /// Requests issued across all threads.
     pub requests: u64,
-    /// Requests answered (cache hit, merge, or solve).
+    /// Requests answered (cache hit or solve).
     pub answered: u64,
-    /// Requests shed (expired deadline, full queue, or saturated gate).
+    /// Requests shed (expired deadline or saturated gate).
     pub shed: u64,
     /// `true` when the service's counter identity held after the soak.
     pub balanced: bool,
 }
 
-/// A short genuinely-concurrent soak: a pooled service with a small
-/// queue and a tight solve gate under simultaneous non-blocking bursts
-/// from `threads` client threads, a quarter of them dead on arrival.
+/// A short genuinely-concurrent soak: a service with a tight solve gate
+/// under simultaneous non-blocking bursts from `threads` caller
+/// threads, a quarter of the requests dead on arrival.
 ///
-/// The split between sheds, merges, and solves is scheduler-dependent;
+/// The split between sheds, hits, and solves is scheduler-dependent;
 /// only the deterministic aggregates (total requests, the balance of
 /// the identity) are reported and asserted.
 pub fn run_soak(threads: usize, per_thread: usize) -> SoakReport {
@@ -564,8 +565,6 @@ pub fn run_soak(threads: usize, per_thread: usize) -> SoakReport {
     let service = PlacementService::new(
         snap,
         ServiceConfig {
-            workers: 2,
-            queue_capacity: 4,
             max_inflight_solves: 2,
             ..ServiceConfig::default()
         },
@@ -587,7 +586,7 @@ pub fn run_soak(threads: usize, per_thread: usize) -> SoakReport {
                         };
                         match service.get_with(&request, &opts) {
                             Ok(_) => answered += 1,
-                            Err(ServiceError::Shed { .. })
+                            Err(ServiceError::Shed)
                             | Err(ServiceError::DeadlineExceeded { .. }) => shed += 1,
                             Err(e) => panic!("unexpected soak error: {e}"),
                         }

@@ -5,10 +5,10 @@
 //! ([`nodesel_core::SelectError`] travels *inside* the
 //! [`crate::Placement`]). The deadline-aware path
 //! ([`crate::PlacementService::get_with`]) adds two ways to *not*
-//! answer, both typed: [`ServiceError::Shed`] (the bounded queue or the
-//! solve gate was full and the request declined to block) and
+//! answer, both typed: [`ServiceError::Shed`] (the solve gate was
+//! saturated and the request declined to block) and
 //! [`ServiceError::DeadlineExceeded`] (the request's deadline passed
-//! before a worker reached it). The lifecycle path (`admit` / `release`
+//! before it could be solved). The lifecycle path (`admit` / `release`
 //! / `supervise`) validates caller-held state (a demand, a job handle),
 //! so failures there are typed and returned, never panicked; under the
 //! degraded-mode policy an admission of a bandwidth-sensitive job past
@@ -35,20 +35,15 @@ pub enum ServiceError {
     },
     /// The underlying selection failed; the ledger was not changed.
     Select(SelectError),
-    /// The service shed the request instead of queueing or solving it:
-    /// the bounded request queue (or the in-flight solve gate) was full
-    /// and the request declined to block
+    /// The service shed the request instead of solving it: the in-flight
+    /// solve gate was saturated and the request declined to block
     /// ([`crate::GetOptions::block_when_full`] was `false`). No answer
     /// was produced and nothing was cached; the caller may retry.
-    Shed {
-        /// Jobs sitting in the bounded queue at the moment of shedding
-        /// (0 when the solve gate, not the queue, was the full resource).
-        queued: usize,
-    },
+    Shed,
     /// The request's deadline passed before an answer was produced:
-    /// either it was already expired on arrival, or every waiter's
-    /// deadline had passed by the time a worker dequeued the job
-    /// (workers skip dead work instead of solving it).
+    /// either it was already expired on arrival, or it expired while the
+    /// request waited for a solve-gate slot (dead work is skipped, not
+    /// solved).
     DeadlineExceeded {
         /// The request's absolute deadline, service-clock seconds.
         deadline: f64,
@@ -81,9 +76,7 @@ impl core::fmt::Display for ServiceError {
                 )
             }
             ServiceError::Select(e) => write!(f, "selection failed: {e}"),
-            ServiceError::Shed { queued } => {
-                write!(f, "request shed: service at capacity ({queued} queued)")
-            }
+            ServiceError::Shed => f.write_str("request shed: solve gate saturated"),
             ServiceError::DeadlineExceeded { deadline, now } => {
                 write!(
                     f,

@@ -5,12 +5,8 @@
 //! topology; this crate turns it into a long-running, multi-tenant
 //! **placement service**:
 //!
-//! * [`EpochCell`] — lock-free publication of `Arc<NetSnapshot>` epochs:
-//!   the collector swaps in each new epoch without ever blocking on (or
-//!   being blocked by) request threads.
 //! * [`CanonicalRequest`] (from `nodesel-core`) — normalized, hashable
-//!   request specs, so identically-shaped requests share cache slots and
-//!   in-flight solves.
+//!   request specs, so identically-shaped requests share cache slots.
 //! * [`SelectionCache`] — answers keyed by `(epoch, ledger version,
 //!   canonical request)` whose recorded
 //!   [`nodesel_core::SelectionFootprint`]s let a
@@ -21,11 +17,12 @@
 //!   [`ResourceDemand`]-derived claim (CPU share per placed node,
 //!   bandwidth per route link) that is subtracted from subsequent
 //!   answers via the residual view (`nodesel_topology::residual`).
-//! * [`PlacementService`] — the server: request canonicalization,
-//!   cache lookup, single-flight merging of identical concurrent
-//!   requests, scarcest-first batched solving on a worker pool, the
-//!   admit/release/supervise placement lifecycle, and honest
-//!   [`ServiceStats`].
+//! * [`PlacementService`] — the server, and one request path: request
+//!   canonicalization, one pinned view of the published snapshot and the
+//!   ledger, cache lookup, and on a miss a solve on the calling thread
+//!   under a bounded solve gate; plus the admit/release/supervise
+//!   placement lifecycle and honest [`ServiceStats`]. It owns no thread:
+//!   the callers' threads are the parallelism.
 //! * **Chaos hardening** — per-request deadlines and load shedding
 //!   ([`GetOptions`], typed [`ServiceError::Shed`] /
 //!   [`ServiceError::DeadlineExceeded`]), degraded-mode serving under a
@@ -39,22 +36,21 @@
 //! The load-bearing invariant, proptest-guarded in
 //! `tests/cache_parity.rs`: **every answer is bit-identical to a fresh
 //! [`nodesel_core::select`] against the residual snapshot of the
-//! answer's epoch and ledger version** — cached, merged, batched, or
-//! solved inline. With an empty ledger the residual snapshot *is* the
+//! answer's epoch and ledger version** — cached or solved, from one
+//! caller or many. With an empty ledger the residual snapshot *is* the
 //! raw snapshot (same `Arc`), so the lifecycle machinery is invisible
 //! until the first admission.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod cache;
-mod epoch;
 mod error;
 mod ledger;
 mod service;
 mod stats;
 
 pub use cache::SelectionCache;
-pub use epoch::EpochCell;
 pub use error::ServiceError;
 pub use ledger::{JobId, PlacementLedger, ResourceDemand};
 pub use nodesel_core::CanonicalRequest;

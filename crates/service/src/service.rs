@@ -1,28 +1,30 @@
 //! The placement server: epoch publication in, placements out.
 //!
-//! One [`PlacementService`] owns the latest published snapshot (in a
-//! lock-free [`EpochCell`]), a [`PlacementLedger`] of admitted jobs with
-//! the residual snapshot derived from it, a delta-invalidated
-//! [`SelectionCache`], and an optional worker pool. A request travels:
+//! One [`PlacementService`] owns a [`PlacementLedger`] of admitted jobs
+//! together with the published raw snapshot and the residual snapshot
+//! derived from the two (one mutex), and a delta-invalidated
+//! [`SelectionCache`] (another). It starts no thread: every request is
+//! answered on the thread that calls it, so the callers' own threads are
+//! the parallelism, bounded by the solve gate. A request travels one
+//! path:
 //!
 //! 1. **canonicalize** — [`CanonicalRequest`] normalizes the spec so
-//!    identically-shaped requests share one cache slot and one solve;
-//! 2. **pin a residual** — one short ledger lock captures the triple
-//!    `(residual snapshot, raw epoch, ledger version)`; the answer is
-//!    then *for that pair of pins*, whatever is published or admitted
-//!    next;
+//!    identically-shaped requests share one cache slot;
+//! 2. **pin** — one short ledger lock captures the view
+//!    `(residual snapshot, raw epoch, ledger version, data age inputs)`;
+//!    the answer is then *for that pin*, whatever is published or
+//!    admitted next;
 //! 3. **cache** — a hit returns the `(epoch, version)` pair's cached
 //!    bits;
-//! 4. **single-flight** — a miss joins an identical in-flight solve on
-//!    the same residual snapshot if one exists, else enqueues its own;
-//! 5. **batch-solve** — workers drain the bounded queue up to
-//!    `batch_size` jobs at a time, scarcest-first (tightest candidate
-//!    pool first, larger requests first), solve each against the job's
-//!    own pinned residual, and publish answer + footprint to the cache.
+//! 4. **gate** — a miss takes a slot of the solve gate
+//!    ([`ServiceConfig::max_inflight_solves`]), blocking or shedding per
+//!    [`GetOptions::block_when_full`], and re-checks its deadline once
+//!    it holds the slot;
+//! 5. **solve** — on the calling thread, against the pinned residual
+//!    snapshot; answer and footprint go to the cache.
 //!
-//! With `workers == 0` the service solves inline on the calling thread —
-//! same cache, same accounting, fully deterministic (the configuration
-//! the parity proptests drive).
+//! Two callers that miss on the same spec at the same pin both solve and
+//! both insert the same bits; nothing merges them.
 //!
 //! # Overload and degraded operation
 //!
@@ -34,14 +36,12 @@
 //!
 //! * **Deadlines & shedding** — [`PlacementService::get_with`] accepts an
 //!   optional absolute deadline. An already-expired request is shed at
-//!   the door ([`ServiceError::DeadlineExceeded`]); a full queue or a
-//!   saturated solve gate sheds instead of blocking when
-//!   [`GetOptions::block_when_full`] is off ([`ServiceError::Shed`]);
-//!   workers re-check deadlines at dequeue and skip jobs every merged
-//!   waiter has abandoned. A counting gate
-//!   ([`ServiceConfig::max_inflight_solves`]) bounds concurrently
-//!   executing solves. Everything lands in [`ServiceStats`]:
-//!   `requests == cache_hits + merges + solves + shed + refused`.
+//!   the door, and a request whose deadline passed while it waited for a
+//!   gate slot is shed before it solves (both
+//!   [`ServiceError::DeadlineExceeded`]); a saturated gate sheds instead
+//!   of blocking when [`GetOptions::block_when_full`] is off
+//!   ([`ServiceError::Shed`]). Everything lands in [`ServiceStats`]:
+//!   `requests == cache_hits + solves + shed + refused`.
 //! * **Degraded serving** — the service tracks when it last *heard from*
 //!   the collector (any publication or [`PlacementService::heartbeat`])
 //!   and the published snapshot's confidence
@@ -91,20 +91,21 @@
 //!
 //! # Locking
 //!
-//! Lock order is `last_published → ledger → cache → queue`; any path
-//! taking several takes them in that order. The solve gate's mutex and
-//! each job's `deadline`/`done` mutexes are leaves (held only
-//! momentarily, never while acquiring another lock — job mutexes are
-//! taken *inside* the queue lock, which is the one nesting the order
-//! permits). The service clock is a lock-free atomic. Mutex poisoning
-//! is deliberately escalated ([`lock`]): a thread that panicked while
-//! mutating shared state has voided the bit-identical answer contract,
-//! and no caller input can reach those panics — caller-reachable
-//! failures on the lifecycle and overload paths are typed
-//! [`ServiceError`]s instead.
+//! Lock order is `ledger → cache`: a thread may take the cache lock
+//! while holding the ledger lock, never the reverse. The solve gate's
+//! mutex and the per-epoch solve history (`stats.per_epoch`) are leaves:
+//! held only momentarily, never while acquiring another lock. Debug
+//! builds enforce the order — the cache guard raises a thread-local
+//! flag that [`PlacementService::lock_ledger`] asserts is down. No lock
+//! is held across a `get` solve; `admit` and `supervise` hold the ledger
+//! lock across theirs, which is what serializes admissions. The service
+//! clock is a lock-free atomic. Mutex poisoning is deliberately
+//! escalated ([`lock`]): a thread that panicked while mutating shared
+//! state has voided the bit-identical answer contract, and no caller
+//! input can reach those panics — caller-reachable failures on the
+//! lifecycle and overload paths are typed [`ServiceError`]s instead.
 
 use crate::cache::SelectionCache;
-use crate::epoch::EpochCell;
 use crate::error::ServiceError;
 use crate::ledger::{JobId, PlacementLedger, ResourceDemand};
 use crate::stats::{ServiceStats, StatsInner};
@@ -114,32 +115,24 @@ use nodesel_core::{
     Supervisor, SupervisorCheck, SupervisorPolicy, SupervisorVerdict,
 };
 use nodesel_topology::{NetDelta, NetMetrics, NetSnapshot};
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed, Ordering::SeqCst};
+use std::cell::Cell;
+use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
 
 /// Tuning knobs for a [`PlacementService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Solver threads. `0` solves inline on the calling thread
-    /// (deterministic; single-flight merges never occur).
-    pub workers: usize,
-    /// Maximum jobs a worker drains per wakeup; each drained batch is
-    /// ordered scarcest-first before solving.
-    pub batch_size: usize,
-    /// Queued-job bound; producers block when it is reached.
-    pub queue_capacity: usize,
     /// Selection-cache entry bound (LRU beyond it; `0` disables caching).
     pub cache_capacity: usize,
     /// Re-selection policy applied by [`PlacementService::supervise`]
     /// (hysteresis, backoff, staleness cap).
     pub supervisor: SupervisorPolicy,
-    /// Bound on concurrently *executing* solves across the inline path
-    /// and the worker pool (a counting admission gate). `0` disables the
-    /// gate. When the gate is saturated, a request with
-    /// [`GetOptions::block_when_full`] off is shed; workers always wait
-    /// their turn.
+    /// Bound on concurrently *executing* `get` solves across all caller
+    /// threads (a counting admission gate). `0` disables the gate. When
+    /// the gate is saturated, a request with
+    /// [`GetOptions::block_when_full`] off is shed; one with it on waits
+    /// for a slot.
     pub max_inflight_solves: usize,
     /// Degraded-mode serving policy (staleness and confidence bounds).
     /// The default disables every bound: all answers are
@@ -150,23 +143,10 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
-            workers: 0,
-            batch_size: 32,
-            queue_capacity: 1024,
             cache_capacity: 65536,
             supervisor: SupervisorPolicy::default(),
             max_inflight_solves: 0,
             degrade: DegradePolicy::default(),
-        }
-    }
-}
-
-impl ServiceConfig {
-    /// The default configuration with a pool of `workers` solver threads.
-    pub fn pooled(workers: usize) -> Self {
-        ServiceConfig {
-            workers,
-            ..ServiceConfig::default()
         }
     }
 }
@@ -275,12 +255,11 @@ pub struct GetOptions {
     /// advancing it.
     pub now: Option<f64>,
     /// Absolute deadline on the service clock. A request whose deadline
-    /// has passed (`deadline <= now`) is shed — at submission, or at
-    /// dequeue when every merged waiter's deadline has passed.
+    /// has passed (`deadline <= now`) is shed — at submission, or once
+    /// it holds a solve-gate slot if the wait outlasted the deadline.
     pub deadline: Option<f64>,
-    /// When the bounded queue or the solve gate is full: `true` blocks
-    /// until space frees up (the classic behavior), `false` sheds with
-    /// [`ServiceError::Shed`].
+    /// When the solve gate is saturated: `true` blocks until a slot
+    /// frees up, `false` sheds with [`ServiceError::Shed`].
     pub block_when_full: bool,
 }
 
@@ -347,14 +326,31 @@ impl Clock {
     }
 }
 
-/// A counting gate bounding concurrently *executing* solves across the
-/// inline path and the worker pool ([`ServiceConfig::max_inflight_solves`];
-/// `0` disables it). Its mutex is a leaf: never held across a solve or
-/// while acquiring any other lock.
+/// A counting gate bounding concurrently *executing* `get` solves
+/// ([`ServiceConfig::max_inflight_solves`]; `0` disables it). Its mutex
+/// is a leaf: never held across a solve or while acquiring any other
+/// lock.
 struct Gate {
     free: Mutex<usize>,
     cv: Condvar,
     enabled: bool,
+}
+
+/// One held gate slot, given back on drop — so an early return or an
+/// unwinding solve cannot leak it.
+struct GateSlot<'a>(&'a Gate);
+
+impl Drop for GateSlot<'_> {
+    fn drop(&mut self) {
+        let gate = self.0;
+        if gate.enabled {
+            // Not `lock()`: that panics on poison, and this can run
+            // while a solve unwinds. The count stays valid at every
+            // step, so a poisoned guard is safe to recover.
+            *gate.free.lock().unwrap_or_else(|e| e.into_inner()) += 1;
+            gate.cv.notify_one();
+        }
+    }
 }
 
 impl Gate {
@@ -366,41 +362,31 @@ impl Gate {
         }
     }
 
-    /// Takes a slot without blocking; `false` when saturated.
-    fn try_acquire(&self) -> bool {
-        if !self.enabled {
-            return true;
-        }
-        let mut free = lock(&self.free, "gate");
-        if *free > 0 {
+    /// Takes a slot without blocking; `None` when saturated.
+    fn try_acquire(&self) -> Option<GateSlot<'_>> {
+        if self.enabled {
+            let mut free = lock(&self.free, "gate");
+            if *free == 0 {
+                return None;
+            }
             *free -= 1;
-            true
-        } else {
-            false
         }
+        Some(GateSlot(self))
     }
 
     /// Takes a slot, blocking until one frees up.
-    fn acquire(&self) {
-        if !self.enabled {
-            return;
+    fn acquire(&self) -> GateSlot<'_> {
+        if self.enabled {
+            let mut free = lock(&self.free, "gate");
+            while *free == 0 {
+                free = self
+                    .cv
+                    .wait(free)
+                    .unwrap_or_else(|_| panic!("gate lock poisoned by a panicked thread"));
+            }
+            *free -= 1;
         }
-        let mut free = lock(&self.free, "gate");
-        while *free == 0 {
-            free = self
-                .cv
-                .wait(free)
-                .unwrap_or_else(|_| panic!("gate lock poisoned by a panicked thread"));
-        }
-        *free -= 1;
-    }
-
-    fn release(&self) {
-        if !self.enabled {
-            return;
-        }
-        *lock(&self.free, "gate") += 1;
-        self.cv.notify_one();
+        GateSlot(self)
     }
 }
 
@@ -444,75 +430,61 @@ pub struct Admission {
 ///
 /// Every mutex in this crate guards state whose consistency the
 /// bit-identical answer contract depends on (the cache map, the ledger
-/// aggregates, the queue). A poisoned lock means a thread panicked
+/// aggregates). A poisoned lock means a thread panicked
 /// mid-mutation; recovering would let the service keep answering from
 /// state it cannot vouch for, so the panic is propagated. This is an
 /// invariant assert, not a caller-reachable error: no request or
 /// lifecycle input can poison these locks (caller-reachable failures are
 /// typed [`ServiceError`]s before any lock is taken).
-fn lock<'a, T>(m: &'a Mutex<T>, what: &'static str) -> MutexGuard<'a, T> {
+pub(crate) fn lock<'a, T>(m: &'a Mutex<T>, what: &'static str) -> MutexGuard<'a, T> {
     match m.lock() {
         Ok(guard) => guard,
         Err(_) => panic!("{what} lock poisoned by a panicked thread"),
     }
 }
 
-/// How an in-flight job ended.
-#[derive(Debug, Clone)]
-enum JobOutcome {
-    /// A worker solved it: the answer to publish to every merged waiter.
-    Solved(Result<Selection, SelectError>),
-    /// Every merged waiter's deadline had passed at dequeue; the worker
-    /// skipped the solve.
-    Expired {
-        /// The service clock when the job was abandoned.
-        now: f64,
-    },
+thread_local! {
+    /// Raised while this thread holds a [`CacheGuard`]: the witness the
+    /// lock-order assertion in [`PlacementService::lock_ledger`] reads.
+    static CACHE_HELD: Cell<bool> = const { Cell::new(false) };
 }
 
-/// One in-flight solve; merged requests block on `cv` until `done`.
-struct Job {
-    /// The pinned residual snapshot the solve runs against.
-    snap: Arc<NetSnapshot>,
-    /// Raw-snapshot epoch of the pin (the `Placement::epoch` to report).
-    epoch: u64,
-    /// Ledger version of the pin (cache-key half).
-    version: u64,
-    canon: CanonicalRequest,
-    /// Latest deadline across every merged waiter; `None` (some waiter
-    /// has no deadline) dominates. A leaf mutex taken *inside* the queue
-    /// lock — both the merge relaxation and the worker's dequeue expiry
-    /// check hold the queue lock, so neither can race the other.
-    deadline: Mutex<Option<f64>>,
-    done: Mutex<Option<JobOutcome>>,
-    cv: Condvar,
+/// The cache lock, marking its holder in debug builds.
+struct CacheGuard<'a>(MutexGuard<'a, SelectionCache>);
+
+impl Deref for CacheGuard<'_> {
+    type Target = SelectionCache;
+    fn deref(&self) -> &SelectionCache {
+        &self.0
+    }
 }
 
-/// Jobs are keyed by the identity of their pinned residual snapshot (the
-/// `Arc`'s address — kept alive by the job itself) plus the canonical
-/// request: merging is only sound onto a solve against the *same*
-/// snapshot bits, and the `Arc` identity pins exactly that.
-type JobKey = (usize, CanonicalRequest);
-
-fn job_key(snap: &Arc<NetSnapshot>, canon: &CanonicalRequest) -> JobKey {
-    (Arc::as_ptr(snap) as usize, canon.clone())
+impl DerefMut for CacheGuard<'_> {
+    fn deref_mut(&mut self) -> &mut SelectionCache {
+        &mut self.0
+    }
 }
 
-#[derive(Default)]
-struct QueueState {
-    queue: VecDeque<Arc<Job>>,
-    inflight: HashMap<JobKey, Arc<Job>>,
+impl Drop for CacheGuard<'_> {
+    fn drop(&mut self) {
+        if cfg!(debug_assertions) {
+            CACHE_HELD.set(false);
+        }
+    }
 }
 
-/// The ledger with the residual snapshot derived from it.
+/// The ledger, the published raw snapshot, and the residual snapshot
+/// derived from the two — everything a request pins, under one lock.
 ///
 /// `residual` is the raw snapshot with every admitted claim applied —
 /// or, when the ledger is invisible (no claims, or only zero-magnitude
 /// ones), **the raw `Arc` itself**: pointer identity is the cheap proof
-/// that an empty ledger changes no answer bits, and it lets single-flight
-/// merging keep working across the oblivious and admitted paths.
+/// that an empty ledger changes no answer bits.
 struct LedgerCell {
     ledger: PlacementLedger,
+    /// The currently published snapshot (the only copy the service
+    /// keeps; also the baseline [`PlacementService::ingest`] diffs
+    /// against).
     raw: Arc<NetSnapshot>,
     residual: Arc<NetSnapshot>,
     /// Service-clock instant the collector was last heard from (any
@@ -534,26 +506,6 @@ impl LedgerCell {
     }
 }
 
-struct Shared {
-    cell: EpochCell,
-    cache: Mutex<SelectionCache>,
-    ledger: Mutex<LedgerCell>,
-    state: Mutex<QueueState>,
-    /// Signals workers that the queue is non-empty (or shutdown).
-    work_cv: Condvar,
-    /// Signals producers that queue space freed up.
-    space_cv: Condvar,
-    stats: StatsInner,
-    shutdown: AtomicBool,
-    /// Baseline for [`PlacementService::ingest`] diffs.
-    last_published: Mutex<Arc<NetSnapshot>>,
-    /// The monotone service clock (lock-free watermark).
-    clock: Clock,
-    /// The in-flight solve gate.
-    gate: Gate,
-    config: ServiceConfig,
-}
-
 /// The answering context, captured atomically under one short ledger
 /// lock. Everything downstream (cache key, solve input, reported epoch,
 /// degraded-mode classification) derives from it.
@@ -565,9 +517,64 @@ struct Pin {
     confidence: f64,
 }
 
-impl Shared {
+/// A concurrent placement server over a published snapshot stream.
+///
+/// Created with [`PlacementService::new`]; the collector side feeds it
+/// via [`PlacementService::publish`] (or [`PlacementService::ingest`]),
+/// request threads call [`PlacementService::get`] freely from any number
+/// of threads (share it by reference or in an `Arc`), and job owners
+/// drive [`PlacementService::admit`] / [`PlacementService::release`] /
+/// [`PlacementService::supervise`]. The service owns no thread.
+pub struct PlacementService {
+    ledger: Mutex<LedgerCell>,
+    cache: Mutex<SelectionCache>,
+    stats: StatsInner,
+    /// The monotone service clock (lock-free watermark).
+    clock: Clock,
+    /// The in-flight solve gate.
+    gate: Gate,
+    config: ServiceConfig,
+}
+
+impl PlacementService {
+    /// A service answering against `initial` until the first publication.
+    pub fn new(initial: Arc<NetSnapshot>, config: ServiceConfig) -> Self {
+        PlacementService {
+            cache: Mutex::new(SelectionCache::new(initial.epoch(), config.cache_capacity)),
+            ledger: Mutex::new(LedgerCell {
+                ledger: PlacementLedger::new(),
+                residual: Arc::clone(&initial),
+                last_heard: 0.0,
+                confidence: initial.min_confidence(),
+                raw: initial,
+            }),
+            stats: StatsInner::default(),
+            clock: Clock::new(),
+            gate: Gate::new(config.max_inflight_solves),
+            config,
+        }
+    }
+
+    /// The ledger lock — first in the lock order (see the module docs).
+    fn lock_ledger(&self) -> MutexGuard<'_, LedgerCell> {
+        debug_assert!(
+            !CACHE_HELD.get(),
+            "lock order violated: ledger lock taken while holding the cache lock"
+        );
+        lock(&self.ledger, "ledger")
+    }
+
+    /// The cache lock — second in the lock order.
+    fn lock_cache(&self) -> CacheGuard<'_> {
+        let guard = lock(&self.cache, "cache");
+        if cfg!(debug_assertions) {
+            CACHE_HELD.set(true);
+        }
+        CacheGuard(guard)
+    }
+
     fn pin(&self) -> Pin {
-        let cell = lock(&self.ledger, "ledger");
+        let cell = self.lock_ledger();
         Pin {
             snap: Arc::clone(&cell.residual),
             epoch: cell.raw.epoch(),
@@ -576,56 +583,16 @@ impl Shared {
             confidence: cell.confidence,
         }
     }
-}
 
-/// A concurrent placement server over a published snapshot stream.
-///
-/// Created with [`PlacementService::new`]; the collector side feeds it
-/// via [`PlacementService::publish`] (or [`PlacementService::ingest`]),
-/// request threads call [`PlacementService::get`] freely from any number
-/// of threads, and job owners drive [`PlacementService::admit`] /
-/// [`PlacementService::release`] / [`PlacementService::supervise`].
-/// Dropping the service joins its workers.
-pub struct PlacementService {
-    shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl PlacementService {
-    /// A service answering against `initial` until the first publication.
-    pub fn new(initial: Arc<NetSnapshot>, config: ServiceConfig) -> Self {
-        let shared = Arc::new(Shared {
-            cell: EpochCell::new(Arc::clone(&initial)),
-            cache: Mutex::new(SelectionCache::new(initial.epoch(), config.cache_capacity)),
-            ledger: Mutex::new(LedgerCell {
-                ledger: PlacementLedger::new(),
-                raw: Arc::clone(&initial),
-                residual: Arc::clone(&initial),
-                last_heard: 0.0,
-                confidence: initial.min_confidence(),
-            }),
-            state: Mutex::new(QueueState::default()),
-            work_cv: Condvar::new(),
-            space_cv: Condvar::new(),
-            stats: StatsInner::default(),
-            shutdown: AtomicBool::new(false),
-            last_published: Mutex::new(initial),
-            clock: Clock::new(),
-            gate: Gate::new(config.max_inflight_solves),
-            config: config.clone(),
-        });
-        let workers = (0..config.workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("nodesel-service-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    // Invariant, not caller-reachable: spawn fails only
-                    // on OS thread exhaustion, before any request runs.
-                    .expect("spawn service worker")
-            })
-            .collect();
-        PlacementService { shared, workers }
+    /// Sheds a request whose `deadline` has passed at `now`.
+    fn check_deadline(&self, deadline: Option<f64>, now: f64) -> Result<(), ServiceError> {
+        match deadline {
+            Some(deadline) if deadline <= now => {
+                StatsInner::bump(&self.stats.shed);
+                Err(ServiceError::DeadlineExceeded { deadline, now })
+            }
+            _ => Ok(()),
+        }
     }
 
     /// Publishes a new epoch. `delta` must describe every annotation
@@ -635,11 +602,10 @@ impl PlacementService {
     /// The residual snapshot is re-derived against the new epoch; a
     /// structural change additionally re-derives every ledger claim
     /// along the new structure's routes ([`PlacementLedger`] rebind).
-    /// The collector never blocks on readers: the snapshot swap is
-    /// lock-free, the bookkeeping contends only with request threads'
-    /// short ledger/cache accesses.
+    /// The publication contends only with request threads' short
+    /// ledger/cache accesses, never with a `get` solve.
     pub fn publish(&self, snap: Arc<NetSnapshot>, delta: Option<&NetDelta>) {
-        let now = self.shared.clock.now();
+        let now = self.clock.now();
         self.publish_inner(snap, delta, now);
     }
 
@@ -648,26 +614,20 @@ impl PlacementService {
     /// age the [`DegradePolicy`] measures. The chaos-facing publication
     /// entry point.
     pub fn publish_at(&self, snap: Arc<NetSnapshot>, delta: Option<&NetDelta>, now: f64) {
-        let now = self.shared.clock.advance(now);
+        let now = self.clock.advance(now);
         self.publish_inner(snap, delta, now);
     }
 
     fn publish_inner(&self, snap: Arc<NetSnapshot>, delta: Option<&NetDelta>, heard_at: f64) {
-        let shared = &self.shared;
         // Confidence is a full scan of the snapshot's entities — do it
         // before taking any lock.
         let confidence = snap.min_confidence();
-        let structure_changed = {
-            let mut last = lock(&shared.last_published, "last-published");
-            let changed = !snap.same_structure(&last);
-            *last = Arc::clone(&snap);
-            changed
-        };
         let epoch = snap.epoch();
-        shared.cell.store(Arc::clone(&snap));
+        let mut cell = self.lock_ledger();
+        let structure_changed = !snap.same_structure(&cell.raw);
         let delta = if structure_changed { None } else { delta };
-        let mut cell = lock(&shared.ledger, "ledger");
-        cell.raw = snap;
+        // Kept past the unlock so a last reference is not freed under it.
+        let retired = std::mem::replace(&mut cell.raw, snap);
         cell.last_heard = heard_at;
         cell.confidence = confidence;
         if structure_changed && !cell.ledger.is_empty() {
@@ -676,7 +636,7 @@ impl PlacementService {
         }
         cell.refresh_residual();
         let ledger_version = cell.ledger.version();
-        let mut cache = lock(&shared.cache, "cache");
+        let mut cache = self.lock_cache();
         cache.advance(epoch, delta);
         if cache.ledger_version() != ledger_version {
             // A structural rebind bumped the version; the flush above
@@ -685,7 +645,8 @@ impl PlacementService {
         }
         drop(cache);
         drop(cell);
-        StatsInner::bump(&shared.stats.epochs_published);
+        drop(retired);
+        StatsInner::bump(&self.stats.epochs_published);
     }
 
     /// Diffs `snap` against the last published snapshot and publishes it
@@ -693,21 +654,21 @@ impl PlacementService {
     /// The convenience hook for a collector pump that only has
     /// snapshots in hand. Returns the published epoch.
     pub fn ingest(&self, snap: NetSnapshot) -> u64 {
-        let now = self.shared.clock.now();
+        let now = self.clock.now();
         self.ingest_inner(snap, now)
     }
 
     /// [`PlacementService::ingest`] with the collector's clock attached
     /// (see [`PlacementService::publish_at`]).
     pub fn ingest_at(&self, snap: NetSnapshot, now: f64) -> u64 {
-        let now = self.shared.clock.advance(now);
+        let now = self.clock.advance(now);
         self.ingest_inner(snap, now)
     }
 
     fn ingest_inner(&self, snap: NetSnapshot, heard_at: f64) -> u64 {
         let snap = Arc::new(snap);
         let epoch = snap.epoch();
-        let last = Arc::clone(&lock(&self.shared.last_published, "last-published"));
+        let last = self.snapshot();
         if snap.same_structure(&last) {
             let delta = snap.diff(&last);
             self.publish_inner(snap, Some(&delta), heard_at);
@@ -722,48 +683,48 @@ impl PlacementService {
     /// whose network is simply quiet (no changed epoch to publish) calls
     /// this each period so calm is not mistaken for death.
     pub fn heartbeat(&self, now: f64) {
-        let now = self.shared.clock.advance(now);
-        lock(&self.shared.ledger, "ledger").last_heard = now;
+        let now = self.clock.advance(now);
+        self.lock_ledger().last_heard = now;
     }
 
     /// The monotone service clock: the largest instant any time-bearing
     /// call has presented (0.0 until the first).
     pub fn now(&self) -> f64 {
-        self.shared.clock.now()
+        self.clock.now()
     }
 
     /// Seconds of service-clock time since the collector was last heard
     /// from — the age the [`DegradePolicy`] classifies against.
     pub fn data_age(&self) -> f64 {
-        let last_heard = lock(&self.shared.ledger, "ledger").last_heard;
-        (self.shared.clock.now() - last_heard).max(0.0)
+        let last_heard = self.lock_ledger().last_heard;
+        (self.clock.now() - last_heard).max(0.0)
     }
 
-    /// The currently published raw snapshot (lock-free).
+    /// The currently published raw snapshot.
     pub fn snapshot(&self) -> Arc<NetSnapshot> {
-        self.shared.cell.load()
+        Arc::clone(&self.lock_ledger().raw)
     }
 
     /// The current residual snapshot: the raw snapshot with every
     /// admitted claim applied. With an empty ledger this is the raw
     /// snapshot itself (the same `Arc`).
     pub fn residual_snapshot(&self) -> Arc<NetSnapshot> {
-        self.shared.pin().snap
+        self.pin().snap
     }
 
-    /// The currently published epoch (lock-free).
+    /// The currently published epoch.
     pub fn epoch(&self) -> u64 {
-        self.shared.cell.load().epoch()
+        self.lock_ledger().raw.epoch()
     }
 
     /// The current ledger version (bumped per admit/release/move).
     pub fn ledger_version(&self) -> u64 {
-        lock(&self.shared.ledger, "ledger").ledger.version()
+        self.lock_ledger().ledger.version()
     }
 
     /// Jobs currently admitted.
     pub fn active_jobs(&self) -> usize {
-        lock(&self.shared.ledger, "ledger").ledger.len()
+        self.lock_ledger().ledger.len()
     }
 
     /// Answers `request` against the currently published epoch's
@@ -772,8 +733,8 @@ impl PlacementService {
     /// The returned placement's `result` is bit-identical to a fresh
     /// [`nodesel_core::select`] on the residual snapshot of
     /// `placement.epoch` at the pinned ledger version — whether it came
-    /// from the cache, an in-flight merge, or a solve. With an empty
-    /// ledger that is exactly the raw snapshot of `placement.epoch`.
+    /// from the cache or a solve. With an empty ledger that is exactly
+    /// the raw snapshot of `placement.epoch`.
     pub fn get(&self, request: &SelectionRequest) -> Placement {
         self.get_canonical(&CanonicalRequest::new(request))
     }
@@ -792,13 +753,13 @@ impl PlacementService {
     /// deadline, shed-instead-of-block behavior, and the caller's clock.
     ///
     /// `Err` means the service declined to answer —
-    /// [`ServiceError::Shed`] (queue or solve gate full,
+    /// [`ServiceError::Shed`] (solve gate saturated,
     /// [`GetOptions::block_when_full`] off) or
-    /// [`ServiceError::DeadlineExceeded`] (expired at submission or at
-    /// dequeue). A degraded-mode *refusal* is not an `Err`: it is an
-    /// answer — `Ok` with [`PlacementQuality::Refused`] and
-    /// [`SelectError::DataTooStale`] inside — because the service did
-    /// respond, honestly.
+    /// [`ServiceError::DeadlineExceeded`] (expired at submission or
+    /// while waiting for a gate slot). A degraded-mode *refusal* is not
+    /// an `Err`: it is an answer — `Ok` with [`PlacementQuality::Refused`]
+    /// and [`SelectError::DataTooStale`] inside — because the service
+    /// did respond, honestly.
     pub fn get_with(
         &self,
         request: &SelectionRequest,
@@ -813,166 +774,63 @@ impl PlacementService {
         canon: &CanonicalRequest,
         opts: &GetOptions,
     ) -> Result<Placement, ServiceError> {
-        let shared = &self.shared;
         let now = match opts.now {
-            Some(t) => shared.clock.advance(t),
-            None => shared.clock.now(),
+            Some(t) => self.clock.advance(t),
+            None => self.clock.now(),
         };
-        StatsInner::bump(&shared.stats.requests);
-        if let Some(deadline) = opts.deadline {
-            if deadline <= now {
-                StatsInner::bump(&shared.stats.shed);
-                return Err(ServiceError::DeadlineExceeded { deadline, now });
-            }
-        }
-        let pin = shared.pin();
-        let quality = shared.config.degrade.classify(
+        StatsInner::bump(&self.stats.requests);
+        self.check_deadline(opts.deadline, now)?;
+        let pin = self.pin();
+        let quality = self.config.degrade.classify(
             (now - pin.last_heard).max(0.0),
             pin.confidence,
             canon.bandwidth_sensitive(),
         );
+        let placement = |result| Placement {
+            epoch: pin.epoch,
+            ledger_version: pin.version,
+            quality,
+            result,
+        };
         if let PlacementQuality::Refused { .. } = quality {
-            StatsInner::bump(&shared.stats.refused);
-            return Ok(Placement {
-                epoch: pin.epoch,
-                ledger_version: pin.version,
-                quality,
-                result: Err(SelectError::DataTooStale),
-            });
+            StatsInner::bump(&self.stats.refused);
+            return Ok(placement(Err(SelectError::DataTooStale)));
         }
-        let degraded = !quality.is_fresh();
-        let Pin {
-            snap,
-            epoch,
-            version,
-            ..
-        } = pin;
-        if let Some(result) = lock(&shared.cache, "cache").lookup(epoch, version, canon) {
-            StatsInner::bump(&shared.stats.cache_hits);
-            if degraded {
-                StatsInner::bump(&shared.stats.degraded_answers);
+        let cached = self.lock_cache().lookup(pin.epoch, pin.version, canon);
+        let result = match cached {
+            Some(result) => {
+                StatsInner::bump(&self.stats.cache_hits);
+                result
             }
-            return Ok(Placement {
-                epoch,
-                ledger_version: version,
-                quality,
-                result,
-            });
-        }
-        if shared.config.workers == 0 {
-            // Inline solves share the executing-solve budget with the
-            // pool: saturated gate sheds (or blocks) like a full queue.
-            if !shared.gate.try_acquire() {
-                if opts.block_when_full {
-                    shared.gate.acquire();
-                } else {
-                    StatsInner::bump(&shared.stats.shed);
-                    return Err(ServiceError::Shed { queued: 0 });
-                }
-            }
-            let (result, footprint) = solve(&snap, canon);
-            shared.gate.release();
-            shared.stats.record_solve(epoch);
-            lock(&shared.cache, "cache").insert(
-                epoch,
-                version,
-                canon.clone(),
-                result.clone(),
-                footprint,
-            );
-            if degraded {
-                StatsInner::bump(&shared.stats.degraded_answers);
-            }
-            return Ok(Placement {
-                epoch,
-                ledger_version: version,
-                quality,
-                result,
-            });
-        }
-        let key = job_key(&snap, canon);
-        let job = {
-            let mut state = lock(&shared.state, "queue");
-            loop {
-                if let Some(job) = state.inflight.get(&key) {
-                    StatsInner::bump(&shared.stats.single_flight_merges);
-                    let job = Arc::clone(job);
-                    // Relax the shared deadline to the latest waiter's
-                    // (`None` dominates). Under the queue lock, so the
-                    // worker's dequeue expiry check cannot race this
-                    // merge and shed an in-deadline request.
-                    let mut deadline = lock(&job.deadline, "job deadline");
-                    *deadline = match (*deadline, opts.deadline) {
-                        (Some(a), Some(b)) => Some(a.max(b)),
-                        _ => None,
-                    };
-                    drop(deadline);
-                    break job;
-                }
-                if state.queue.len() < shared.config.queue_capacity {
-                    let job = Arc::new(Job {
-                        snap: Arc::clone(&snap),
-                        epoch,
-                        version,
-                        canon: canon.clone(),
-                        deadline: Mutex::new(opts.deadline),
-                        done: Mutex::new(None),
-                        cv: Condvar::new(),
-                    });
-                    state.inflight.insert(key.clone(), Arc::clone(&job));
-                    state.queue.push_back(Arc::clone(&job));
-                    shared.work_cv.notify_one();
-                    break job;
-                }
-                if !opts.block_when_full {
-                    let queued = state.queue.len();
-                    drop(state);
-                    StatsInner::bump(&shared.stats.shed);
-                    return Err(ServiceError::Shed { queued });
-                }
-                // Queue full: wait for workers to drain, then re-check
-                // (an identical job may have appeared meanwhile).
-                state = shared
-                    .space_cv
-                    .wait(state)
-                    .unwrap_or_else(|_| panic!("queue lock poisoned by a panicked thread"));
+            None => {
+                let slot = match self.gate.try_acquire() {
+                    Some(slot) => slot,
+                    None if opts.block_when_full => self.gate.acquire(),
+                    None => {
+                        StatsInner::bump(&self.stats.shed);
+                        return Err(ServiceError::Shed);
+                    }
+                };
+                // The wait for the slot may have outlasted the deadline;
+                // a dead request must not cost a solve.
+                self.check_deadline(opts.deadline, self.clock.now())?;
+                let (result, footprint) = solve(&pin.snap, canon);
+                drop(slot);
+                self.stats.record_solve(pin.epoch);
+                self.lock_cache().insert(
+                    pin.epoch,
+                    pin.version,
+                    canon.clone(),
+                    result.clone(),
+                    footprint,
+                );
+                result
             }
         };
-        let mut done = lock(&job.done, "job");
-        while done.is_none() {
-            done = job
-                .cv
-                .wait(done)
-                .unwrap_or_else(|_| panic!("job lock poisoned by a panicked thread"));
+        if !quality.is_fresh() {
+            StatsInner::bump(&self.stats.degraded_answers);
         }
-        // Invariant, not caller-reachable: the wait above only exits
-        // once a worker stored the outcome.
-        let outcome = done
-            .clone()
-            .expect("in-flight job completed without an outcome");
-        drop(done);
-        match outcome {
-            JobOutcome::Solved(result) => {
-                if degraded {
-                    StatsInner::bump(&shared.stats.degraded_answers);
-                }
-                Ok(Placement {
-                    epoch,
-                    ledger_version: version,
-                    quality,
-                    result,
-                })
-            }
-            JobOutcome::Expired { now } => {
-                // The worker only expires a job whose *every* waiter has
-                // a passed deadline; a no-deadline waiter keeps the
-                // shared deadline `None`, which never expires.
-                let deadline = opts
-                    .deadline
-                    .expect("expired job had a waiter without a deadline");
-                Err(ServiceError::DeadlineExceeded { deadline, now })
-            }
-        }
+        Ok(placement(result))
     }
 
     /// Admits `request` with the demand it implies
@@ -996,12 +854,11 @@ impl PlacementService {
         demand: ResourceDemand,
     ) -> Result<Admission, ServiceError> {
         demand.validate()?;
-        let shared = &self.shared;
-        StatsInner::bump(&shared.stats.requests);
+        StatsInner::bump(&self.stats.requests);
         let canon = CanonicalRequest::new(request);
-        let now = shared.clock.now();
-        let mut cell = lock(&shared.ledger, "ledger");
-        let quality = shared.config.degrade.classify(
+        let now = self.clock.now();
+        let mut cell = self.lock_ledger();
+        let quality = self.config.degrade.classify(
             (now - cell.last_heard).max(0.0),
             cell.confidence,
             canon.bandwidth_sensitive(),
@@ -1011,27 +868,22 @@ impl PlacementService {
             // policy calls untrustworthy would be a silent lie, so the
             // fallible path refuses with a typed error.
             drop(cell);
-            StatsInner::bump(&shared.stats.refused);
+            StatsInner::bump(&self.stats.refused);
             return Err(ServiceError::DegradedRefusal { age });
         }
         let epoch = cell.raw.epoch();
         let version = cell.ledger.version();
-        let cached = lock(&shared.cache, "cache").lookup(epoch, version, &canon);
+        let cached = self.lock_cache().lookup(epoch, version, &canon);
         let result = match cached {
             Some(result) => {
-                StatsInner::bump(&shared.stats.cache_hits);
+                StatsInner::bump(&self.stats.cache_hits);
                 result
             }
             None => {
                 let (result, footprint) = solve(&cell.residual, &canon);
-                shared.stats.record_solve(epoch);
-                lock(&shared.cache, "cache").insert(
-                    epoch,
-                    version,
-                    canon,
-                    result.clone(),
-                    footprint,
-                );
+                self.stats.record_solve(epoch);
+                self.lock_cache()
+                    .insert(epoch, version, canon, result.clone(), footprint);
                 result
             }
         };
@@ -1044,12 +896,12 @@ impl PlacementService {
             raw.structure(),
         );
         cell.refresh_residual();
-        lock(&shared.cache, "cache")
+        self.lock_cache()
             .advance_ledger(cell.ledger.version(), Some(&claim.touched_delta()));
         drop(cell);
-        StatsInner::bump(&shared.stats.admits);
+        StatsInner::bump(&self.stats.admits);
         if !quality.is_fresh() {
-            StatsInner::bump(&shared.stats.degraded_answers);
+            StatsInner::bump(&self.stats.degraded_answers);
         }
         Ok(Admission {
             job,
@@ -1062,14 +914,13 @@ impl PlacementService {
     /// Releases an admitted job, un-charging its claim from the residual
     /// network.
     pub fn release(&self, job: JobId) -> Result<(), ServiceError> {
-        let shared = &self.shared;
-        let mut cell = lock(&shared.ledger, "ledger");
+        let mut cell = self.lock_ledger();
         let claim = cell.ledger.release(job)?;
         cell.refresh_residual();
-        lock(&shared.cache, "cache")
+        self.lock_cache()
             .advance_ledger(cell.ledger.version(), Some(&claim.touched_delta()));
         drop(cell);
-        StatsInner::bump(&shared.stats.releases);
+        StatsInner::bump(&self.stats.releases);
         Ok(())
     }
 
@@ -1087,8 +938,7 @@ impl PlacementService {
     /// unchanged; the supervisor stays primed and a later epoch may
     /// recover.
     pub fn supervise(&self, job: JobId, now: f64) -> Result<SupervisorCheck, ServiceError> {
-        let shared = &self.shared;
-        let mut cell = lock(&shared.ledger, "ledger");
+        let mut cell = self.lock_ledger();
         let raw = Arc::clone(&cell.raw);
         let delta = cell.ledger.residual_delta_excluding(&raw, job);
         // Materialized residual-without-self; bit-identical to the view
@@ -1099,7 +949,7 @@ impl PlacementService {
         } else {
             Arc::new(raw.apply(&delta))
         };
-        let policy = shared.config.supervisor;
+        let policy = self.config.supervisor;
         let entry = cell.ledger.entry_mut(job)?;
         let own = OwnUsage::one_process_per_node(&entry.nodes);
         let current = entry.nodes.clone();
@@ -1118,8 +968,9 @@ impl PlacementService {
             let new_touched = new_claim.touched_delta();
             touched.nodes.extend(new_touched.nodes);
             touched.links.extend(new_touched.links);
-            lock(&shared.cache, "cache").advance_ledger(cell.ledger.version(), Some(&touched));
-            StatsInner::bump(&shared.stats.ledger_moves);
+            self.lock_cache()
+                .advance_ledger(cell.ledger.version(), Some(&touched));
+            StatsInner::bump(&self.stats.ledger_moves);
         }
         Ok(check)
     }
@@ -1147,17 +998,16 @@ impl PlacementService {
     /// and releases interleave safely between steps (a job released
     /// mid-sweep is skipped). `now` advances the monotone service clock.
     pub fn reconcile(&self, now: f64) -> ReconcileReport {
-        let shared = &self.shared;
-        let now = shared.clock.advance(now);
+        let now = self.clock.advance(now);
         let mut report = ReconcileReport::default();
-        let jobs = lock(&shared.ledger, "ledger").ledger.job_ids();
+        let jobs = self.lock_ledger().ledger.job_ids();
         report.examined = jobs.len();
         for job in jobs {
             // The vanished check must precede supervise: supervising a
             // placement on an out-of-range node would index past the
             // structure's metric arrays.
             let vanished = {
-                let cell = lock(&shared.ledger, "ledger");
+                let cell = self.lock_ledger();
                 let node_count = cell.raw.structure().node_count();
                 match cell.ledger.nodes(job) {
                     Ok(nodes) => nodes.iter().any(|n| n.index() >= node_count),
@@ -1166,7 +1016,7 @@ impl PlacementService {
             };
             if vanished {
                 if self.release(job).is_ok() {
-                    StatsInner::bump(&shared.stats.reconcile_releases);
+                    StatsInner::bump(&self.stats.reconcile_releases);
                     report.released.push(job);
                 }
                 continue;
@@ -1176,7 +1026,7 @@ impl PlacementService {
                     SupervisorVerdict::Healthy => report.healthy += 1,
                     SupervisorVerdict::Hold { .. } => report.held += 1,
                     SupervisorVerdict::Reselect { .. } => {
-                        StatsInner::bump(&shared.stats.reconcile_repairs);
+                        StatsInner::bump(&self.stats.reconcile_repairs);
                         report.repaired.push(job);
                     }
                 },
@@ -1188,51 +1038,48 @@ impl PlacementService {
                 Err(e) => unreachable!("supervise returned {e}"),
             }
         }
-        StatsInner::bump(&shared.stats.reconciles);
+        StatsInner::bump(&self.stats.reconciles);
         report
     }
 
     /// The nodes an admitted job currently occupies.
     pub fn job_nodes(&self, job: JobId) -> Result<Vec<nodesel_topology::NodeId>, ServiceError> {
-        let cell = lock(&self.shared.ledger, "ledger");
+        let cell = self.lock_ledger();
         cell.ledger.nodes(job).map(|n| n.to_vec())
     }
 
     /// A point-in-time view of the service's counters.
     pub fn stats(&self) -> ServiceStats {
-        use std::sync::atomic::Ordering::Relaxed;
-        let shared = &self.shared;
-        let cell = lock(&shared.ledger, "ledger");
+        let cell = self.lock_ledger();
         let active_jobs = cell.ledger.len() as u64;
         let ledger_version = cell.ledger.version();
         drop(cell);
-        let cache = lock(&shared.cache, "cache");
+        let cache = self.lock_cache();
         let counters = cache.counters;
         drop(cache);
         ServiceStats {
-            requests: shared.stats.requests.load(Relaxed),
-            cache_hits: shared.stats.cache_hits.load(Relaxed),
-            single_flight_merges: shared.stats.single_flight_merges.load(Relaxed),
-            solves: shared.stats.solves.load(Relaxed),
-            shed: shared.stats.shed.load(Relaxed),
-            refused: shared.stats.refused.load(Relaxed),
-            degraded_answers: shared.stats.degraded_answers.load(Relaxed),
-            epochs_published: shared.stats.epochs_published.load(Relaxed),
+            requests: self.stats.requests.load(Relaxed),
+            cache_hits: self.stats.cache_hits.load(Relaxed),
+            solves: self.stats.solves.load(Relaxed),
+            shed: self.stats.shed.load(Relaxed),
+            refused: self.stats.refused.load(Relaxed),
+            degraded_answers: self.stats.degraded_answers.load(Relaxed),
+            epochs_published: self.stats.epochs_published.load(Relaxed),
             delta_evictions: counters.delta_evictions,
             capacity_evictions: counters.capacity_evictions,
             carried_forward: counters.carried_forward,
             stale_inserts: counters.stale_inserts,
             flushes: counters.flushes,
             ledger_evictions: counters.ledger_evictions,
-            admits: shared.stats.admits.load(Relaxed),
-            releases: shared.stats.releases.load(Relaxed),
-            ledger_moves: shared.stats.ledger_moves.load(Relaxed),
-            reconciles: shared.stats.reconciles.load(Relaxed),
-            reconcile_repairs: shared.stats.reconcile_repairs.load(Relaxed),
-            reconcile_releases: shared.stats.reconcile_releases.load(Relaxed),
+            admits: self.stats.admits.load(Relaxed),
+            releases: self.stats.releases.load(Relaxed),
+            ledger_moves: self.stats.ledger_moves.load(Relaxed),
+            reconciles: self.stats.reconciles.load(Relaxed),
+            reconcile_repairs: self.stats.reconcile_repairs.load(Relaxed),
+            reconcile_releases: self.stats.reconcile_releases.load(Relaxed),
             active_jobs,
             ledger_version,
-            solves_per_epoch: lock(&shared.stats.per_epoch, "stats")
+            solves_per_epoch: lock(&self.stats.per_epoch, "stats")
                 .iter()
                 .copied()
                 .collect(),
@@ -1241,17 +1088,7 @@ impl PlacementService {
 
     /// Resident cache entries (test and observability hook).
     pub fn cached_entries(&self) -> usize {
-        lock(&self.shared.cache, "cache").len()
-    }
-}
-
-impl Drop for PlacementService {
-    fn drop(&mut self) {
-        self.shared.shutdown.store(true, SeqCst);
-        self.shared.work_cv.notify_all();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
+        self.lock_cache().len()
     }
 }
 
@@ -1259,7 +1096,6 @@ impl std::fmt::Debug for PlacementService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PlacementService")
             .field("epoch", &self.epoch())
-            .field("workers", &self.workers.len())
             .finish()
     }
 }
@@ -1276,85 +1112,6 @@ fn solve(
     (result, selector.footprint())
 }
 
-/// Scarcest-first batch order: tightest candidate pool first (smallest
-/// `allowed`, unrestricted last), then pinned-node count (more first),
-/// then larger requests first — the hardest-to-place specs claim their
-/// answers before the flexible ones, mirroring the batched-matching
-/// exemplar.
-fn scarcity_key(
-    canon: &CanonicalRequest,
-) -> (usize, std::cmp::Reverse<usize>, std::cmp::Reverse<usize>) {
-    (
-        canon.allowed_len().unwrap_or(usize::MAX),
-        std::cmp::Reverse(canon.required_len()),
-        std::cmp::Reverse(canon.count()),
-    )
-}
-
-fn worker_loop(shared: &Shared) {
-    loop {
-        let mut batch: Vec<Arc<Job>> = {
-            let mut state = lock(&shared.state, "queue");
-            while state.queue.is_empty() && !shared.shutdown.load(SeqCst) {
-                state = shared
-                    .work_cv
-                    .wait(state)
-                    .unwrap_or_else(|_| panic!("queue lock poisoned by a panicked thread"));
-            }
-            if state.queue.is_empty() {
-                return; // shutdown with nothing left to solve
-            }
-            let take = state.queue.len().min(shared.config.batch_size.max(1));
-            let batch = state.queue.drain(..take).collect();
-            shared.space_cv.notify_all();
-            batch
-        };
-        batch.sort_by_key(|a| scarcity_key(&a.canon));
-        for job in batch {
-            // Dead-work check, under the queue lock so no waiter can
-            // merge (relaxing the deadline) between the decision and the
-            // inflight removal: once removed, late arrivals enqueue a
-            // fresh job instead of joining a corpse.
-            let expired_at = {
-                let mut state = lock(&shared.state, "queue");
-                let deadline = *lock(&job.deadline, "job deadline");
-                let now = shared.clock.now();
-                match deadline {
-                    Some(d) if d <= now => {
-                        state.inflight.remove(&job_key(&job.snap, &job.canon));
-                        Some(now)
-                    }
-                    _ => None,
-                }
-            };
-            if let Some(now) = expired_at {
-                // One shed on behalf of the enqueuing request; merged
-                // waiters were already counted in the merge bucket.
-                StatsInner::bump(&shared.stats.shed);
-                *lock(&job.done, "job") = Some(JobOutcome::Expired { now });
-                job.cv.notify_all();
-                continue;
-            }
-            shared.gate.acquire();
-            let (result, footprint) = solve(&job.snap, &job.canon);
-            shared.gate.release();
-            shared.stats.record_solve(job.epoch);
-            lock(&shared.cache, "cache").insert(
-                job.epoch,
-                job.version,
-                job.canon.clone(),
-                result.clone(),
-                footprint,
-            );
-            lock(&shared.state, "queue")
-                .inflight
-                .remove(&job_key(&job.snap, &job.canon));
-            *lock(&job.done, "job") = Some(JobOutcome::Solved(result));
-            job.cv.notify_all();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1362,18 +1119,19 @@ mod tests {
     use nodesel_topology::units::MBPS;
     use nodesel_topology::{NetDelta, NodeId};
 
-    fn service(workers: usize) -> (PlacementService, Vec<NodeId>) {
+    fn service_with(config: ServiceConfig) -> (PlacementService, Vec<NodeId>) {
         let (topo, ids) = star(8, 100.0 * MBPS);
         let snap = Arc::new(NetSnapshot::capture(Arc::new(topo)));
-        (
-            PlacementService::new(snap, ServiceConfig::pooled(workers)),
-            ids,
-        )
+        (PlacementService::new(snap, config), ids)
+    }
+
+    fn service() -> (PlacementService, Vec<NodeId>) {
+        service_with(ServiceConfig::default())
     }
 
     #[test]
-    fn inline_hits_after_first_solve() {
-        let (svc, _) = service(0);
+    fn hits_after_first_solve() {
+        let (svc, _) = service();
         let request = SelectionRequest::balanced(3);
         let first = svc.get(&request);
         let second = svc.get(&request);
@@ -1387,7 +1145,7 @@ mod tests {
 
     #[test]
     fn answers_match_fresh_select_across_epochs() {
-        let (svc, ids) = service(0);
+        let (svc, ids) = service();
         let requests = [
             SelectionRequest::compute(2),
             SelectionRequest::communication(3),
@@ -1412,64 +1170,13 @@ mod tests {
             svc.publish(Arc::new(snap.clone()), Some(&delta));
         }
         let stats = svc.stats();
-        assert_eq!(
-            stats.requests,
-            stats.cache_hits + stats.single_flight_merges + stats.solves
-        );
+        assert_eq!(stats.requests, stats.cache_hits + stats.solves);
         assert_eq!(stats.epochs_published, 5);
     }
 
     #[test]
-    fn pooled_answers_match_inline() {
-        let (pooled, _) = service(2);
-        let (inline, _) = service(0);
-        let requests: Vec<SelectionRequest> = (2..6)
-            .flat_map(|m| {
-                [
-                    SelectionRequest::compute(m),
-                    SelectionRequest::communication(m),
-                    SelectionRequest::balanced(m),
-                ]
-            })
-            .collect();
-        for request in &requests {
-            assert_eq!(pooled.get(request), inline.get(request));
-        }
-        let stats = pooled.stats();
-        assert_eq!(
-            stats.requests,
-            stats.cache_hits + stats.single_flight_merges + stats.solves
-        );
-    }
-
-    #[test]
-    fn pooled_concurrent_identical_requests_single_flight() {
-        let (svc, _) = service(2);
-        let svc = Arc::new(svc);
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                let svc = Arc::clone(&svc);
-                scope.spawn(move || {
-                    let request = SelectionRequest::balanced(3);
-                    let placement = svc.get(&request);
-                    assert!(placement.result.is_ok());
-                });
-            }
-        });
-        let stats = svc.stats();
-        assert_eq!(stats.requests, 8);
-        assert_eq!(
-            stats.requests,
-            stats.cache_hits + stats.single_flight_merges + stats.solves
-        );
-        // At least one request must have solved; the split between hits
-        // and merges depends on timing.
-        assert!(stats.solves >= 1);
-    }
-
-    #[test]
     fn structure_change_flushes_cache() {
-        let (svc, _) = service(0);
+        let (svc, _) = service();
         svc.get(&SelectionRequest::compute(2));
         assert_eq!(svc.cached_entries(), 1);
         let (other, _) = star(6, 100.0 * MBPS);
@@ -1483,7 +1190,7 @@ mod tests {
 
     #[test]
     fn ingest_diffs_and_carries_disjoint_entries() {
-        let (svc, ids) = service(0);
+        let (svc, ids) = service();
         let compute = SelectionRequest::compute(2);
         let first = svc.get(&compute);
         // Load a node far from the answer: the compute entry's footprint
@@ -1513,23 +1220,8 @@ mod tests {
     }
 
     #[test]
-    fn scarcity_orders_tightest_first() {
-        let mut tight = SelectionRequest::compute(2);
-        tight.constraints.allowed = Some(
-            [NodeId::from_index(0), NodeId::from_index(1)]
-                .into_iter()
-                .collect(),
-        );
-        let loose = SelectionRequest::compute(2);
-        let big = SelectionRequest::compute(5);
-        let k = |r: &SelectionRequest| scarcity_key(&CanonicalRequest::new(r));
-        assert!(k(&tight) < k(&loose));
-        assert!(k(&big) < k(&loose));
-    }
-
-    #[test]
     fn admitted_jobs_shift_later_placements() {
-        let (svc, _) = service(0);
+        let (svc, _) = service();
         let mut request = SelectionRequest::balanced(2);
         request.reference_bandwidth = Some(20.0 * MBPS);
         // Oblivious gets answer the same nodes every time.
@@ -1557,7 +1249,7 @@ mod tests {
 
     #[test]
     fn release_restores_oblivious_answers() {
-        let (svc, _) = service(0);
+        let (svc, _) = service();
         let request = SelectionRequest::balanced(2);
         let before = svc.get(&request);
         let admission = svc.admit(&request).unwrap();
@@ -1580,7 +1272,7 @@ mod tests {
 
     #[test]
     fn admit_rejects_invalid_demand_and_failed_selection() {
-        let (svc, _) = service(0);
+        let (svc, _) = service();
         let request = SelectionRequest::balanced(2);
         let bad = ResourceDemand {
             cpu_load: f64::NAN,
@@ -1605,7 +1297,7 @@ mod tests {
 
     #[test]
     fn supervise_moves_job_off_dead_node_without_double_count() {
-        let (svc, ids) = service(0);
+        let (svc, ids) = service();
         let request = SelectionRequest::balanced(2);
         let admission = svc.admit(&request).unwrap();
         let placed = admission.selection.nodes.clone();
@@ -1639,7 +1331,7 @@ mod tests {
 
     #[test]
     fn supervising_unknown_job_is_a_typed_error() {
-        let (svc, _) = service(0);
+        let (svc, _) = service();
         let admission = svc.admit(&SelectionRequest::balanced(2)).unwrap();
         svc.release(admission.job).unwrap();
         assert!(matches!(
@@ -1650,7 +1342,7 @@ mod tests {
 
     #[test]
     fn service_clock_is_monotone_and_nan_proof() {
-        let (svc, _) = service(0);
+        let (svc, _) = service();
         assert_eq!(svc.now(), 0.0);
         svc.heartbeat(5.0);
         assert_eq!(svc.now(), 5.0);
@@ -1664,20 +1356,33 @@ mod tests {
     }
 
     #[test]
-    fn gate_counts_slots() {
+    fn gate_slots_return_on_drop() {
         let bounded = Gate::new(1);
-        assert!(bounded.try_acquire());
-        assert!(!bounded.try_acquire());
-        bounded.release();
-        assert!(bounded.try_acquire());
+        let slot = bounded.try_acquire().expect("one slot free");
+        assert!(bounded.try_acquire().is_none());
+        drop(slot);
+        let slot = bounded.acquire();
+        assert!(bounded.try_acquire().is_none());
+        drop(slot);
         let unbounded = Gate::new(0);
-        assert!(unbounded.try_acquire());
-        assert!(unbounded.try_acquire());
+        let _first = unbounded
+            .try_acquire()
+            .expect("a disabled gate always admits");
+        assert!(unbounded.try_acquire().is_some());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "lock order violated")]
+    fn ledger_after_cache_trips_the_lock_order_assert() {
+        let (svc, _) = service();
+        let _cache = svc.lock_cache();
+        let _ledger = svc.lock_ledger();
     }
 
     #[test]
     fn expired_deadline_is_shed_at_the_door() {
-        let (svc, _) = service(0);
+        let (svc, _) = service();
         let request = SelectionRequest::balanced(3);
         let err = svc
             .get_with(
@@ -1716,75 +1421,81 @@ mod tests {
     }
 
     #[test]
-    fn nonblocking_request_sheds_on_a_full_queue() {
-        let (topo, _) = star(8, 100.0 * MBPS);
-        let snap = Arc::new(NetSnapshot::capture(Arc::new(topo)));
-        // capacity 0: nothing can ever enqueue, so a non-blocking
-        // request must shed deterministically.
-        let config = ServiceConfig {
-            workers: 1,
-            queue_capacity: 0,
+    fn nonblocking_request_sheds_at_a_saturated_gate() {
+        let (svc, _) = service_with(ServiceConfig {
+            max_inflight_solves: 1,
             ..ServiceConfig::default()
-        };
-        let svc = PlacementService::new(snap, config);
-        let err = svc
-            .get_with(&SelectionRequest::balanced(3), &GetOptions::default())
-            .unwrap_err();
-        assert_eq!(err, ServiceError::Shed { queued: 0 });
+        });
+        let request = SelectionRequest::balanced(3);
+        // The only slot is taken, as by another caller mid-solve.
+        let slot = svc.gate.try_acquire().expect("gate starts free");
+        let err = svc.get_with(&request, &GetOptions::default()).unwrap_err();
+        assert_eq!(err, ServiceError::Shed);
         let stats = svc.stats();
-        assert_eq!(stats.shed, 1);
+        assert_eq!((stats.shed, stats.solves), (1, 0));
         assert!(stats.balanced());
+        drop(slot);
+        let ok = svc.get_with(&request, &GetOptions::default()).unwrap();
+        assert!(ok.result.is_ok());
+        // Neither the shed nor the solve kept a slot.
+        assert!(svc.gate.try_acquire().is_some());
+        assert!(svc.stats().balanced());
     }
 
     #[test]
-    fn worker_skips_dead_requests_at_dequeue() {
-        let (svc, _) = service(0); // no pool: we drive worker_loop by hand
-        let shared = Arc::clone(&svc.shared);
-        shared.clock.advance(10.0);
-        let canon = CanonicalRequest::new(&SelectionRequest::balanced(3));
-        let pin = shared.pin();
-        let job = Arc::new(Job {
-            snap: Arc::clone(&pin.snap),
-            epoch: pin.epoch,
-            version: pin.version,
-            canon: canon.clone(),
-            deadline: Mutex::new(Some(5.0)), // already past: clock is at 10
-            done: Mutex::new(None),
-            cv: Condvar::new(),
+    fn deadline_rechecked_after_gate_wait() {
+        let (svc, _) = service_with(ServiceConfig {
+            max_inflight_solves: 1,
+            ..ServiceConfig::default()
         });
-        {
-            let mut state = lock(&shared.state, "queue");
-            state
-                .inflight
-                .insert(job_key(&job.snap, &job.canon), Arc::clone(&job));
-            state.queue.push_back(Arc::clone(&job));
-        }
-        shared.shutdown.store(true, SeqCst);
-        worker_loop(&shared); // drains the queue, then exits on shutdown
-        let done = lock(&job.done, "job").clone().unwrap();
-        assert!(matches!(done, JobOutcome::Expired { now } if now == 10.0));
+        let slot = svc.gate.try_acquire().expect("gate starts free");
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| {
+                svc.get_with(
+                    &SelectionRequest::balanced(3),
+                    &GetOptions {
+                        now: Some(1.0),
+                        deadline: Some(5.0),
+                        block_when_full: true,
+                    },
+                )
+            });
+            // The request reads its own clock before its door check, so
+            // once the service clock shows 1.0 it is past the door with
+            // `now = 1.0` in hand — and it cannot pass the gate while the
+            // slot is held here.
+            while svc.now() < 1.0 {
+                std::thread::yield_now();
+            }
+            svc.heartbeat(10.0);
+            drop(slot);
+            assert_eq!(
+                waiter.join().expect("waiter thread"),
+                Err(ServiceError::DeadlineExceeded {
+                    deadline: 5.0,
+                    now: 10.0
+                })
+            );
+        });
         let stats = svc.stats();
-        assert_eq!(stats.shed, 1);
-        assert_eq!(stats.solves, 0);
+        assert_eq!((stats.requests, stats.shed, stats.solves), (1, 1, 0));
+        assert!(stats.balanced());
         assert!(
-            lock(&shared.state, "queue").inflight.is_empty(),
-            "expired job must leave the single-flight table"
+            svc.gate.try_acquire().is_some(),
+            "the expired request must give its slot back"
         );
     }
 
     #[test]
     fn degrade_policy_flags_and_refuses_honestly() {
-        let (topo, _) = star(8, 100.0 * MBPS);
-        let snap = Arc::new(NetSnapshot::capture(Arc::new(topo)));
-        let config = ServiceConfig {
+        let (svc, _) = service_with(ServiceConfig {
             degrade: DegradePolicy {
                 soft_staleness: 10.0,
                 hard_staleness: 30.0,
                 min_confidence: 0.0,
             },
             ..ServiceConfig::default()
-        };
-        let svc = PlacementService::new(snap, config);
+        });
         let bw = SelectionRequest::balanced(3); // bandwidth-sensitive
         let cpu = SelectionRequest::compute(3); // CPU-only
         let at = |t: f64| GetOptions {
@@ -1830,17 +1541,14 @@ mod tests {
 
     #[test]
     fn low_confidence_flags_answers_stale_at_age_zero() {
-        let (topo, ids) = star(8, 100.0 * MBPS);
-        let snap = Arc::new(NetSnapshot::capture(Arc::new(topo)));
-        let config = ServiceConfig {
+        let (svc, ids) = service_with(ServiceConfig {
             degrade: DegradePolicy {
                 soft_staleness: f64::INFINITY,
                 hard_staleness: f64::INFINITY,
                 min_confidence: 0.9,
             },
             ..ServiceConfig::default()
-        };
-        let svc = PlacementService::new(snap, config);
+        });
         let request = SelectionRequest::balanced(3);
         let at = |t: f64| GetOptions {
             now: Some(t),
@@ -1867,7 +1575,7 @@ mod tests {
 
     #[test]
     fn reconcile_repairs_failed_jobs_and_releases_vanished_ones() {
-        let (svc, _) = service(0);
+        let (svc, _) = service();
         let request = SelectionRequest::balanced(2);
         let a = svc.admit(&request).unwrap();
         let b = svc.admit(&request).unwrap();
@@ -1911,19 +1619,14 @@ mod tests {
     }
 
     #[test]
-    fn pooled_overload_mix_stays_balanced() {
-        let (topo, _) = star(8, 100.0 * MBPS);
-        let snap = Arc::new(NetSnapshot::capture(Arc::new(topo)));
-        let config = ServiceConfig {
-            workers: 2,
-            queue_capacity: 2,
+    fn overload_mix_stays_balanced() {
+        let (svc, _) = service_with(ServiceConfig {
             max_inflight_solves: 1,
             ..ServiceConfig::default()
-        };
-        let svc = Arc::new(PlacementService::new(snap, config));
+        });
         std::thread::scope(|scope| {
             for i in 0..16usize {
-                let svc = Arc::clone(&svc);
+                let svc = &svc;
                 scope.spawn(move || {
                     let request = SelectionRequest::balanced(2 + (i % 4));
                     let opts = GetOptions {
@@ -1937,8 +1640,7 @@ mod tests {
                     };
                     match svc.get_with(&request, &opts) {
                         Ok(placement) => assert!(placement.result.is_ok()),
-                        Err(ServiceError::Shed { .. })
-                        | Err(ServiceError::DeadlineExceeded { .. }) => {}
+                        Err(ServiceError::Shed) | Err(ServiceError::DeadlineExceeded { .. }) => {}
                         Err(e) => panic!("unexpected error: {e}"),
                     }
                 });

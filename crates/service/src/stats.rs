@@ -1,5 +1,6 @@
 //! Service observability: request, cache, and solve accounting.
 
+use crate::service::lock;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Mutex;
@@ -32,7 +33,6 @@ pub struct CacheCounters {
 pub(crate) struct StatsInner {
     pub requests: AtomicU64,
     pub cache_hits: AtomicU64,
-    pub single_flight_merges: AtomicU64,
     pub solves: AtomicU64,
     pub shed: AtomicU64,
     pub refused: AtomicU64,
@@ -44,7 +44,8 @@ pub(crate) struct StatsInner {
     pub reconciles: AtomicU64,
     pub reconcile_repairs: AtomicU64,
     pub reconcile_releases: AtomicU64,
-    /// `(epoch, solves attributed to it)` for the most recent epochs.
+    /// `(epoch, solves attributed to it)` for the most recent epochs. A
+    /// leaf lock: never held while acquiring another.
     pub per_epoch: Mutex<VecDeque<(u64, u64)>>,
 }
 
@@ -56,9 +57,7 @@ impl StatsInner {
     /// Attributes one solve to `epoch` in the bounded history.
     pub fn record_solve(&self, epoch: u64) {
         self.solves.fetch_add(1, Relaxed);
-        // Invariant, not caller-reachable: poisoning means a thread
-        // panicked mid-accounting — escalate (see crate locking notes).
-        let mut per_epoch = self.per_epoch.lock().expect("stats lock poisoned");
+        let mut per_epoch = lock(&self.per_epoch, "stats");
         match per_epoch.iter_mut().find(|(e, _)| *e == epoch) {
             Some((_, n)) => *n += 1,
             None => {
@@ -74,33 +73,28 @@ impl StatsInner {
 /// A point-in-time snapshot of the service's counters.
 ///
 /// Invariant (exact once the service is idle): `requests` =
-/// `cache_hits` + `single_flight_merges` + `solves` + `shed` +
-/// `refused` (checkable via [`ServiceStats::balanced`]). Every request
-/// ends in exactly one bucket: answered from the cache, merged into
-/// another request's in-flight solve, solved on its own, shed
-/// (queue/gate overflow or deadline expiry — a merged waiter whose
-/// shared solve is shed stays in the merge bucket), or refused by the
-/// degraded-mode policy.
+/// `cache_hits` + `solves` + `shed` + `refused` (checkable via
+/// [`ServiceStats::balanced`]). Every request ends in exactly one
+/// bucket: answered from the cache, solved, shed (saturated solve gate
+/// or deadline expiry), or refused by the degraded-mode policy.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServiceStats {
     /// Requests answered.
     pub requests: u64,
     /// Requests answered from the selection cache.
     pub cache_hits: u64,
-    /// Requests merged into an identical in-flight solve (single-flight).
-    pub single_flight_merges: u64,
     /// Fresh solves executed.
     pub solves: u64,
-    /// Requests shed without an answer: queue or solve-gate overflow
-    /// (`ServiceError::Shed`), deadline already expired on arrival, or a
-    /// queued job skipped at dequeue because every waiter's deadline had
-    /// passed (`ServiceError::DeadlineExceeded`).
+    /// Requests shed without an answer: a saturated solve gate
+    /// (`ServiceError::Shed`), or a deadline that had expired on arrival
+    /// or by the time the request held a gate slot
+    /// (`ServiceError::DeadlineExceeded`).
     pub shed: u64,
     /// Requests refused by the degraded-mode policy (bandwidth-sensitive
     /// work past the hard staleness bound).
     pub refused: u64,
     /// Answers served but flagged `Stale` by the degraded-mode policy
-    /// (these also count in their hit/merge/solve bucket — the flag is
+    /// (these also count in their hit/solve bucket — the flag is
     /// orthogonal to how the answer was produced).
     pub degraded_answers: u64,
     /// Epochs published to the service.
@@ -142,12 +136,11 @@ pub struct ServiceStats {
 
 impl ServiceStats {
     /// The request-accounting identity: `requests == cache_hits +
-    /// single_flight_merges + solves + shed + refused`. Exact whenever
-    /// the service is idle (no request mid-flight); the chaos study and
-    /// the parity proptests assert it after every quiesced step.
+    /// solves + shed + refused`. Exact whenever the service is idle (no
+    /// request mid-flight); the chaos study and the parity proptests
+    /// assert it after every quiesced step.
     pub fn balanced(&self) -> bool {
-        self.requests
-            == self.cache_hits + self.single_flight_merges + self.solves + self.shed + self.refused
+        self.requests == self.cache_hits + self.solves + self.shed + self.refused
     }
 }
 

@@ -1,8 +1,7 @@
-//! Cache and batching parity proptests for the placement service.
+//! Cache parity proptests for the placement service.
 //!
-//! The service's contract is that caching, carry-forward, single-flight
-//! merging, and batched solving are *invisible*: every [`Placement`]
-//! returned by `get` is bit-identical to a fresh solve on the snapshot of
+//! The service's contract is that caching and carry-forward are
+//! *invisible*: every [`Placement`] returned by `get` is bit-identical to a fresh solve on the snapshot of
 //! `placement.epoch`. These tests drive random request streams against
 //! random delta streams (node load churn, link utilization churn,
 //! availability and staleness transitions, occasional wholesale flushes)
@@ -131,8 +130,7 @@ fn random_delta(rng: &mut StdRng, topo: &Topology) -> NetDelta {
 
 /// Drives a request/delta script against one service and asserts every
 /// answer is bit-identical to a fresh solve on the snapshot of the epoch
-/// the placement reports. `burst_threads > 1` issues each burst from
-/// that many threads concurrently (same read-only epoch map).
+/// the placement reports.
 fn drive(seed: u64, topo: Topology, ids: &[NodeId], steps: usize, config: ServiceConfig) {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5e1ec7);
     let first = NetSnapshot::capture(Arc::new(topo));
@@ -170,8 +168,8 @@ fn drive(seed: u64, topo: Topology, ids: &[NodeId], steps: usize, config: Servic
     let stats = svc.stats();
     assert_eq!(
         stats.requests,
-        stats.cache_hits + stats.single_flight_merges + stats.solves,
-        "every request is exactly one of hit / merge / solve"
+        stats.cache_hits + stats.solves,
+        "every request is exactly one of hit / solve"
     );
     assert_eq!(stats.epochs_published, steps as u64);
     if config.cache_capacity == 0 {
@@ -184,11 +182,10 @@ fn drive(seed: u64, topo: Topology, ids: &[NodeId], steps: usize, config: Servic
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Inline service (the deterministic configuration): random request
-    /// streams against random churn, including health transitions and
-    /// flush publications.
+    /// Random request streams against random churn, including health
+    /// transitions and flush publications.
     #[test]
-    fn inline_answers_match_fresh_select(
+    fn answers_match_fresh_select(
         seed in 0u64..100_000,
         computes in 2usize..10,
         networks in 0usize..6,
@@ -210,32 +207,6 @@ proptest! {
     ) {
         let (topo, ids) = random_topology(seed, computes, networks);
         let config = ServiceConfig { cache_capacity: capacity, ..ServiceConfig::default() };
-        drive(seed, topo, &ids, steps, config);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// The pooled path — queue, scarcest-first batches, worker solves —
-    /// must be just as invisible. Small queue and batch sizes keep the
-    /// producer-blocking and batch-ordering branches hot.
-    #[test]
-    fn pooled_answers_match_fresh_select(
-        seed in 0u64..100_000,
-        computes in 2usize..8,
-        networks in 0usize..4,
-        steps in 1usize..4,
-        batch in 1usize..4,
-    ) {
-        let (topo, ids) = random_topology(seed, computes, networks);
-        let config = ServiceConfig {
-            workers: 2,
-            batch_size: batch,
-            queue_capacity: 4,
-            cache_capacity: 64,
-            ..ServiceConfig::default()
-        };
         drive(seed, topo, &ids, steps, config);
     }
 }
@@ -324,55 +295,53 @@ proptest! {
     }
 }
 
-/// Concurrent identical requests against a pooled service: whatever mix
-/// of solves, merges, and hits results, every thread's answer must match
-/// the fresh solve for its pinned epoch.
+/// Six caller threads per round with a publication landing in the
+/// middle of each burst, under a two-slot solve gate: whichever epoch a
+/// request pins, and whether it hits or solves, its answer must match
+/// the fresh solve for that pinned epoch.
 #[test]
 fn concurrent_bursts_stay_bit_identical() {
+    const ROUNDS: usize = 4;
+    const CALLERS: usize = 6;
     let (topo, ids) = random_topology(7, 8, 4);
-    let first = NetSnapshot::capture(Arc::new(topo));
+    let mut rng = StdRng::seed_from_u64(0xbeef);
+    let mut chain = vec![(NetSnapshot::capture(Arc::new(topo)), NetDelta::default())];
+    for round in 0..ROUNDS {
+        let delta = random_delta(&mut rng, chain[round].0.structure_arc());
+        chain.push((chain[round].0.apply(&delta), delta));
+    }
+    let by_epoch: HashMap<u64, &NetSnapshot> =
+        chain.iter().map(|(snap, _)| (snap.epoch(), snap)).collect();
     let svc = PlacementService::new(
-        Arc::new(first.clone()),
+        Arc::new(chain[0].0.clone()),
         ServiceConfig {
-            workers: 2,
-            batch_size: 2,
-            queue_capacity: 4,
             cache_capacity: 64,
+            max_inflight_solves: 2,
             ..ServiceConfig::default()
         },
     );
-    let mut rng = StdRng::seed_from_u64(0xbeef);
-    let mut by_epoch: HashMap<u64, NetSnapshot> = HashMap::new();
-    by_epoch.insert(first.epoch(), first.clone());
-    let mut current = first;
-    for _ in 0..4 {
+    for (next, delta) in &chain[1..] {
         let requests: Vec<SelectionRequest> =
             (0..3).map(|_| random_request(&mut rng, &ids)).collect();
         std::thread::scope(|scope| {
-            for t in 0..6 {
+            for t in 0..CALLERS {
                 let svc = &svc;
                 let by_epoch = &by_epoch;
                 let request = &requests[t % requests.len()];
                 scope.spawn(move || {
                     let placement = svc.get(request);
-                    let snap = &by_epoch[&placement.epoch];
+                    let snap = by_epoch[&placement.epoch];
                     let fresh = selector_for(request.objective).select(snap, request);
                     assert_eq!(placement.result, fresh);
                 });
             }
+            svc.publish(Arc::new(next.clone()), Some(delta));
         });
-        let delta = random_delta(&mut rng, current.structure_arc());
-        let next = current.apply(&delta);
-        by_epoch.insert(next.epoch(), next.clone());
-        svc.publish(Arc::new(next.clone()), Some(&delta));
-        current = next;
     }
     let stats = svc.stats();
-    assert_eq!(
-        stats.requests,
-        stats.cache_hits + stats.single_flight_merges + stats.solves
-    );
-    assert_eq!(stats.requests, 24);
+    assert!(stats.balanced(), "{stats:?}");
+    assert_eq!(stats.requests, (ROUNDS * CALLERS) as u64);
+    assert_eq!((stats.shed, stats.refused), (0, 0));
 }
 
 /// Soft/hard staleness bounds the chaos proptest runs under (tight
@@ -383,7 +352,7 @@ const CHAOS_DEGRADE: DegradePolicy = DegradePolicy {
     min_confidence: 0.5,
 };
 
-/// One chaos script: an inline (deterministic) service under a
+/// One chaos script: a single-caller (deterministic) service under a
 /// fault-bearing delta stream interleaved with requests (some with
 /// already-dead deadlines), admissions, releases, heartbeats, silences,
 /// and reconciliation sweeps. The driver keeps its own model of the
@@ -463,7 +432,7 @@ fn chaos_drive(seed: u64, computes: usize, networks: usize, steps: usize) {
                 );
                 continue;
             }
-            let placement = answer.expect("inline in-deadline request cannot fail");
+            let placement = answer.expect("ungated in-deadline request cannot fail");
             let bandwidth_sensitive = !matches!(request.objective, Objective::Compute)
                 || request.constraints.min_bandwidth.is_some();
             if age > CHAOS_DEGRADE.hard_staleness && bandwidth_sensitive {

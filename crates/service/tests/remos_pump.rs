@@ -6,7 +6,7 @@
 //! `ingest`), and request threads ask for placements. Parity is checked
 //! at every round against a fresh solve on the published snapshot, and
 //! the accounting on both sides (snapshot hit/miss, epochs published,
-//! hit + merge + solve = requests) must line up.
+//! hit + solve = requests) must line up.
 
 use std::sync::Arc;
 
@@ -60,10 +60,7 @@ fn pump_feeds_service_and_answers_track_epochs() {
     }
     assert!(pumped >= 2, "the churn must have published new epochs");
     let stats = svc.stats();
-    assert_eq!(
-        stats.requests,
-        stats.cache_hits + stats.single_flight_merges + stats.solves
-    );
+    assert_eq!(stats.requests, stats.cache_hits + stats.solves);
     assert_eq!(stats.epochs_published, pumped);
     assert!(
         stats.cache_hits > 0,

@@ -31,7 +31,7 @@
 //!   [`NetSnapshot`] whose metrics are bit-identical to the
 //!   [`ResidualView`]'s (the same two `f64` operands are added either
 //!   way). Consumers that need a concrete snapshot — the `Supervisor`,
-//!   the service's worker pool — materialize; everything else can
+//!   the service's pinned residual — materialize; everything else can
 //!   borrow the view.
 //!
 //! Aggregated extras are recomputed from scratch in ascending
