@@ -5,12 +5,13 @@
 //! one simulator) where the sharing graph actually decomposes and
 //! cluster-scoped reallocation pays off. A speedup table is printed before
 //! measurement and a machine-readable `BENCH_simnet.json` (events/sec per
-//! setting plus a Table-1 trial wall-clock) is written to the workspace
-//! root so the perf trajectory is comparable across PRs.
+//! setting, a Table-1 trial wall-clock and the run's provenance) is
+//! written to the workspace root so the perf trajectory is comparable
+//! across PRs. This bench is the file's only writer.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use nodesel_apps::AppModel;
-use nodesel_bench::federated;
+use nodesel_bench::{federated, provenance};
 use nodesel_experiments::{run_trial, Condition, Strategy, Testbed, TrialConfig};
 use nodesel_loadgen::{install_load, install_traffic, LoadConfig, TrafficConfig};
 use nodesel_simnet::{FlowEngine, Sim};
@@ -65,6 +66,28 @@ fn measure(run: impl Fn() -> u64, iters: usize) -> (u64, f64) {
         .collect();
     samples.sort_by(f64::total_cmp);
     (events, samples[samples.len() / 2])
+}
+
+/// Panics unless `doc` carries what this bench (and the CI smoke step)
+/// promises of `BENCH_simnet.json`: the schema-drift tripwire.
+fn validate_schema(doc: &serde_json::Value) {
+    for key in [
+        "bench",
+        "testbed",
+        "sim_seconds",
+        "intensities",
+        "federated",
+        "table1_trial",
+        "provenance",
+    ] {
+        assert!(doc.get(key).is_some(), "BENCH_simnet.json lost `{key}`");
+    }
+    for key in ["commit", "rustc", "cores", "harness"] {
+        assert!(
+            doc["provenance"].get(key).is_some(),
+            "BENCH_simnet.json provenance lost `{key}`"
+        );
+    }
 }
 
 fn emit_summary(c: &mut Criterion) {
@@ -131,26 +154,17 @@ fn emit_summary(c: &mut Criterion) {
     let trial_wall = t.elapsed().as_secs_f64();
     eprintln!("table1 trial ({}): {trial_wall:.3} s wall", app.name());
 
-    let summary = serde_json::json!({
+    let doc = serde_json::json!({
         "bench": "flow_engine",
         "testbed": "cmu",
         "sim_seconds": SIM_SECONDS,
         "intensities": rows,
         "federated": fed_rows,
         "table1_trial": { "app": app.name(), "wall_secs": trial_wall },
+        "provenance": provenance(),
     });
-    // Read-modify-write: this bench owns its keys only, so sections
-    // written by other benches (`throughput` from simnet_throughput)
-    // survive a re-run.
+    validate_schema(&doc);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_simnet.json");
-    let mut doc = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|s| serde_json::from_str::<serde_json::Value>(&s).ok())
-        .filter(|v| v.as_object().is_some())
-        .unwrap_or_else(|| serde_json::json!({}));
-    for (k, v) in summary.as_object().expect("summary is an object") {
-        doc[k.as_str()] = v.clone();
-    }
     match std::fs::write(path, format!("{:#}\n", doc)) {
         Ok(()) => eprintln!("wrote {path}"),
         Err(e) => eprintln!("could not write {path}: {e}"),

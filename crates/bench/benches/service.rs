@@ -30,7 +30,7 @@
 //! mode's req/s and the provenance of the run (commit, toolchain, core
 //! count, harness). `--test`/`--smoke` shrinks every axis.
 
-use nodesel_bench::conditioned_tree;
+use nodesel_bench::{conditioned_tree, provenance};
 use nodesel_core::{selector_for, CanonicalRequest, SelectError, Selection, SelectionRequest};
 use nodesel_service::{PlacementService, ServiceConfig, ServiceStats};
 use nodesel_topology::{NetDelta, NetSnapshot, NodeId};
@@ -148,19 +148,6 @@ fn stats_json(stats: &Option<ServiceStats>) -> serde_json::Value {
             "epochs_published": s.epochs_published,
         }),
     }
-}
-
-/// First line of `program args...`'s output, for the provenance block;
-/// `"unknown"` when it cannot run.
-fn tool_line(program: &str, args: &[&str]) -> String {
-    std::process::Command::new(program)
-        .args(args)
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .and_then(|text| text.lines().next().map(str::to_owned))
-        .unwrap_or_else(|| "unknown".to_owned())
 }
 
 /// Panics unless `doc` carries the service section this bench (and the
@@ -405,12 +392,7 @@ fn main() {
         ],
         "speedup_cache": speedup_cache,
         "speedup_cache_clients": speedup_clients,
-        "provenance": {
-            "commit": tool_line("git", &["describe", "--always", "--dirty"]),
-            "rustc": tool_line("rustc", &["-V"]),
-            "cores": cores,
-            "harness": "bench",
-        },
+        "provenance": provenance(),
     });
     validate_schema(&doc);
     match std::fs::write(path, format!("{:#}\n", doc)) {

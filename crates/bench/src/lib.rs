@@ -50,18 +50,34 @@ pub fn conditioned_hierarchy(
 /// `k` components (and the incremental flow engine re-solves one per
 /// event). With `trunk_latency` the subnets are chained router-to-router
 /// into one connected federation whose inter-subnet links carry that
-/// latency — the boundary the parallel engine's conservative windows
-/// synchronize on. Returns the topology and each subnet's host list.
+/// latency. Returns the topology and each subnet's host list.
 pub fn federated(k: usize, trunk_latency: Option<f64>) -> (Topology, Vec<Vec<NodeId>>) {
     nodesel_topology::builders::federation(k, trunk_latency)
 }
 
-/// The per-subnet domain assignment matching [`federated`]'s node order
-/// (ten nodes per subnet: two routers, eight hosts), for trunked
-/// federations where connected-component analysis would find a single
-/// domain.
-pub fn federated_domains(topo: &Topology) -> Vec<u16> {
-    (0..topo.node_count()).map(|i| (i / 10) as u16).collect()
+/// First line of `program args...`'s output; `"unknown"` when it cannot
+/// run.
+fn tool_line(program: &str, args: &[&str]) -> String {
+    std::process::Command::new(program)
+        .args(args)
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .and_then(|text| text.lines().next().map(str::to_owned))
+        .unwrap_or_else(|| "unknown".to_owned())
+}
+
+/// The `provenance` block of a `BENCH_*.json` this crate's benches
+/// write: the commit and toolchain that produced the numbers, the cores
+/// they ran on, and that a bench (not a one-off probe) made them.
+pub fn provenance() -> serde_json::Value {
+    serde_json::json!({
+        "commit": tool_line("git", &["describe", "--always", "--dirty"]),
+        "rustc": tool_line("rustc", &["-V"]),
+        "cores": std::thread::available_parallelism().map_or(1, usize::from),
+        "harness": "bench",
+    })
 }
 
 #[cfg(test)]
@@ -69,7 +85,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn federated_layout_matches_domain_helper() {
+    fn federated_trunks_connect_the_subnets() {
         let (disc, subnets) = federated(3, None);
         assert_eq!(disc.node_count(), 30);
         assert_eq!(subnets.len(), 3);
@@ -77,13 +93,15 @@ mod tests {
 
         let (conn, _) = federated(3, Some(2e-3));
         assert!(conn.is_connected());
-        let domains = federated_domains(&conn);
-        // Every host shares its routers' domain.
-        for (s, hosts) in subnets.iter().enumerate() {
-            for &h in hosts {
-                assert_eq!(domains[h.index()], s as u16);
-            }
+    }
+
+    #[test]
+    fn provenance_names_commit_toolchain_cores_and_harness() {
+        let p = provenance();
+        for key in ["commit", "rustc", "harness"] {
+            assert!(p[key].is_string(), "provenance lost `{key}`");
         }
+        assert!(p["cores"].as_u64().is_some_and(|c| c >= 1));
     }
 
     #[test]

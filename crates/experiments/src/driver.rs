@@ -22,9 +22,9 @@ use nodesel_core::{
 };
 use nodesel_loadgen::{install_load, install_traffic, LoadConfig, TrafficConfig};
 use nodesel_remos::{CollectorConfig, Estimator, Remos};
-use nodesel_simnet::{FlowEngine, ParallelSim, Sim, DEFAULT_LOAD_AVG_TAU};
+use nodesel_simnet::{FlowEngine, Sim, DEFAULT_LOAD_AVG_TAU};
 use nodesel_topology::testbeds::cmu_testbed;
-use nodesel_topology::{NodeId, RouteTable, ShardPlan, Topology};
+use nodesel_topology::{NodeId, RouteTable, Topology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -117,14 +117,6 @@ pub struct TrialConfig {
     /// bit-identical trials; `Reference` exists for oracle checks and
     /// benchmarking.
     pub engine: FlowEngine,
-    /// Worker threads for the warm-up phase. With more than one thread
-    /// the warm-up runs on the parallel engine, sharded by the
-    /// topology's connected components; results are bit-identical to a
-    /// single-threaded run at any setting. On a single-domain testbed
-    /// (like the paper's CMU network) the engine falls back to serial,
-    /// so extra threads buy nothing there — the speedup comes on
-    /// federated multi-subnet topologies.
-    pub threads: usize,
 }
 
 impl Default for TrialConfig {
@@ -136,7 +128,6 @@ impl Default for TrialConfig {
             estimator: Estimator::Latest,
             warmup: 1800.0,
             engine: FlowEngine::default(),
-            threads: 1,
         }
     }
 }
@@ -203,12 +194,6 @@ pub fn warm_trial(
     seed: u64,
 ) -> WarmTrial {
     let mut sim = testbed.sim(config.engine);
-    // Sharding by connected component must be decided on a pristine
-    // simulator: domains govern id minting from the first action.
-    let plan = (config.threads > 1).then(|| ShardPlan::components(sim.topology()));
-    if let Some(plan) = &plan {
-        sim.set_partition(plan.node_domain());
-    }
     // The maintained snapshot stream follows the trial's estimator, so
     // the automatic strategy sees exactly what the per-query path would.
     let remos = Remos::install(
@@ -224,17 +209,7 @@ pub fn warm_trial(
     if condition.has_traffic() {
         install_traffic(&mut sim, &testbed.machines, config.traffic, seed ^ 0x7AFF1C);
     }
-    match plan {
-        Some(plan) => {
-            // Parallel warm-up; bit-identical to serial by the engine's
-            // contract, and a silent serial fallback on degenerate
-            // plans (single domain, zero lookahead).
-            let mut par = ParallelSim::new(sim, &plan, config.threads);
-            par.run_for(config.warmup);
-            sim = par.into_sim();
-        }
-        None => sim.run_for(config.warmup),
-    }
+    sim.run_for(config.warmup);
     debug_assert!(sim.can_fork(), "warm-up left a user closure pending");
     WarmTrial { sim, remos, seed }
 }

@@ -9,11 +9,7 @@ use nodesel_core::{BalancedSelector, SelectionRequest, Selector};
 use nodesel_experiments::{run_trial, Condition, Strategy, Testbed, TrialConfig};
 use nodesel_loadgen::{install_load, LoadConfig};
 use nodesel_remos::{CollectorConfig, Remos};
-use nodesel_simnet::{
-    install_faults, DriverId, DriverLogic, FaultPlan, FlowEngine, ParallelSim, Sim,
-};
-use nodesel_topology::units::MBPS;
-use nodesel_topology::{NodeId, ShardPlan, Topology};
+use nodesel_simnet::{install_faults, FaultPlan, FlowEngine};
 
 #[test]
 fn trials_are_engine_independent() {
@@ -90,140 +86,5 @@ fn empty_fault_plan_is_invisible() {
                 "empty plan perturbed the run: {engine:?} seed {seed}"
             );
         }
-    }
-}
-
-/// The `threads` knob never changes results. The CMU testbed is one
-/// connected domain, so the parallel warm-up falls back to serial (the
-/// honest single-testbed ~1x case) — and `run_trial` must stay
-/// bit-identical across every thread count.
-#[test]
-fn trials_are_thread_count_independent() {
-    let testbed = Testbed::cmu();
-    let suite = AppModel::paper_suite();
-    let (app, m) = &suite[0];
-    let run = |threads| {
-        let cfg = TrialConfig {
-            warmup: 300.0,
-            threads,
-            ..TrialConfig::default()
-        };
-        run_trial(
-            &testbed,
-            app,
-            *m,
-            Strategy::Automatic,
-            Condition::Both,
-            &cfg,
-            13,
-        )
-    };
-    let base = run(1);
-    for threads in [2, 4, 8] {
-        let got = run(threads);
-        assert_eq!(
-            got.elapsed.to_bits(),
-            base.elapsed.to_bits(),
-            "elapsed diverged at threads={threads}"
-        );
-        assert_eq!(
-            got.nodes, base.nodes,
-            "selection diverged at threads={threads}"
-        );
-    }
-}
-
-/// Deterministic per-domain churn for the collector-parity test below:
-/// periodic compute jobs and intra-domain transfers.
-#[derive(Clone)]
-struct DomainChurn {
-    nodes: Vec<NodeId>,
-    k: u64,
-}
-
-impl DriverLogic for DomainChurn {
-    fn fire(&mut self, sim: &mut Sim, me: DriverId) {
-        self.k += 1;
-        let a = self.nodes[(self.k as usize) % self.nodes.len()];
-        let b = self.nodes[(self.k as usize * 5 + 2) % self.nodes.len()];
-        sim.start_compute_detached(a, 0.4 + (self.k % 3) as f64 * 0.2);
-        if a != b {
-            sim.start_transfer_detached(a, b, MBPS * (1 + self.k % 5) as f64);
-        }
-        sim.schedule_driver_in(0.11 + (self.k % 7) as f64 * 0.019, me);
-    }
-}
-
-/// Collector samples are parallel-parity too: scoped collectors homed
-/// inside each domain of a federated topology record bit-identical
-/// host windows and link samples whether the run is serial or sharded,
-/// read per shard through [`ParallelSim::shard`] without any merging.
-#[test]
-fn scoped_collector_samples_are_parallel_parity() {
-    // Two disconnected 4-host stars, one collector + churn per star.
-    let mut topo = Topology::new();
-    let mut groups: Vec<Vec<NodeId>> = Vec::new();
-    for s in 0..2 {
-        let hub = topo.add_network_node(format!("g{s}-hub"));
-        let mut group = vec![hub];
-        for h in 0..4 {
-            let n = topo.add_compute_node(format!("g{s}-h{h}"), 1.0);
-            topo.add_link(hub, n, 100.0 * MBPS);
-            group.push(n);
-        }
-        groups.push(group);
-    }
-    let plan = ShardPlan::components(&topo);
-    assert_eq!(plan.num_domains(), 2);
-
-    let build = |topo: &Topology| {
-        let mut sim = Sim::new(topo.clone());
-        sim.set_partition(plan.node_domain());
-        let handles: Vec<Remos> = groups
-            .iter()
-            .map(|g| Remos::install_scoped(&mut sim, g[1], g, CollectorConfig::default()))
-            .collect();
-        for (s, g) in groups.iter().enumerate() {
-            let hosts = g[1..].to_vec();
-            let d = sim.install_driver_at(
-                g[1],
-                DomainChurn {
-                    nodes: hosts,
-                    k: s as u64 * 77,
-                },
-            );
-            sim.schedule_driver_in(0.0, d);
-        }
-        (sim, handles)
-    };
-
-    let sample = |sim: &Sim, remos: &Remos| -> Vec<u64> {
-        let snap = remos.snapshot(sim);
-        snap.load_values()
-            .iter()
-            .chain(snap.used_values())
-            .map(|v| v.to_bits())
-            .collect()
-    };
-
-    let (mut serial, serial_handles) = build(&topo);
-    serial.run_for(90.0);
-
-    let (sim, par_handles) = build(&topo);
-    let mut par = ParallelSim::new(sim, &plan, 2);
-    par.run_for(90.0);
-    assert!(
-        par.is_parallel(),
-        "domain-local collectors must not escalate"
-    );
-
-    for (d, (sh, ph)) in serial_handles.iter().zip(&par_handles).enumerate() {
-        let expect = sample(&serial, sh);
-        let got = sample(par.shard(d as u16), ph);
-        assert!(
-            expect.iter().any(|&b| b != 0),
-            "domain {d} collector sampled nothing"
-        );
-        assert_eq!(got, expect, "collector samples diverged in domain {d}");
     }
 }

@@ -190,30 +190,6 @@ impl LoadHandle {
 /// generators are data-driven, so a warmed-up simulator remains forkable
 /// ([`Sim::can_fork`]).
 pub fn install_load(sim: &mut Sim, nodes: &[NodeId], config: LoadConfig, seed: u64) -> LoadHandle {
-    install_load_impl(sim, nodes, config, seed, false)
-}
-
-/// Like [`install_load`], but homes each node's generator at that node
-/// (see [`Sim::install_driver_at`]), so on a partitioned simulator every
-/// generator is domain-local and the parallel engine can run it inside
-/// its shard. On an unpartitioned simulator this is bit-identical to
-/// [`install_load`].
-pub fn install_load_at(
-    sim: &mut Sim,
-    nodes: &[NodeId],
-    config: LoadConfig,
-    seed: u64,
-) -> LoadHandle {
-    install_load_impl(sim, nodes, config, seed, true)
-}
-
-fn install_load_impl(
-    sim: &mut Sim,
-    nodes: &[NodeId],
-    config: LoadConfig,
-    seed: u64,
-    homed: bool,
-) -> LoadHandle {
     let mut drivers = Vec::with_capacity(nodes.len());
     for (i, &node) in nodes.iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(split_seed(seed, i as u64));
@@ -225,15 +201,24 @@ fn install_load_impl(
             enabled: true,
             jobs_started: 0,
         };
-        let id = if homed {
-            sim.install_driver_at(node, driver)
-        } else {
-            sim.install_driver(driver)
-        };
+        let id = sim.install_driver(driver);
         sim.schedule_driver_in(gap, id);
         drivers.push(id);
     }
     LoadHandle { drivers }
+}
+
+/// Forwards to [`install_load`]. Kept only because `benchmark/src/exec.rs`
+/// calls it and the change that removed driver homing (issue 14) could
+/// not edit `benchmark/`; the next `benchmark` PR drops it.
+#[doc(hidden)]
+pub fn install_load_at(
+    sim: &mut Sim,
+    nodes: &[NodeId],
+    config: LoadConfig,
+    seed: u64,
+) -> LoadHandle {
+    install_load(sim, nodes, config, seed)
 }
 
 #[cfg(test)]

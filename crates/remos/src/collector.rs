@@ -278,30 +278,6 @@ impl Samples {
 /// a baseline interval), then every period thereafter, forever. Use
 /// [`Sim::run_until`] to bound execution.
 pub(crate) fn install(sim: &mut Sim, config: CollectorConfig) -> DriverId {
-    install_impl(sim, None, None, config)
-}
-
-/// Installs a collector *scoped to a subset of nodes* and homed at one of
-/// them: it samples only `scope`'s compute nodes and the links with both
-/// endpoints inside `scope`, and its firings are sequenced in (and, under
-/// the parallel engine, executed by) `home`'s partition domain. When
-/// `scope` covers a whole domain the collector never reads foreign state,
-/// so the owning shard can run it without escalating.
-pub(crate) fn install_scoped(
-    sim: &mut Sim,
-    home: NodeId,
-    scope: &[NodeId],
-    config: CollectorConfig,
-) -> DriverId {
-    install_impl(sim, Some(home), Some(scope), config)
-}
-
-fn install_impl(
-    sim: &mut Sim,
-    home: Option<NodeId>,
-    scope: Option<&[NodeId]>,
-    config: CollectorConfig,
-) -> DriverId {
     assert!(config.period > 0.0, "sampling period must be positive");
     assert!(config.window >= 1, "window must hold at least one sample");
     assert!(
@@ -309,35 +285,15 @@ fn install_impl(
         "sample-loss probability must be in [0, 1)"
     );
     let base = sim.topology_shared();
-    // In-scope membership mask; everything is in scope for a full
-    // collector. Node lists stay in id order and link pairs contiguous
-    // either way.
-    let inside: Vec<bool> = match scope {
-        None => vec![true; base.node_count()],
-        Some(scope) => {
-            let mut inside = vec![false; base.node_count()];
-            for &n in scope {
-                inside[n.index()] = true;
-            }
-            inside
-        }
-    };
-    let computes: Vec<NodeId> = base.compute_nodes().filter(|n| inside[n.index()]).collect();
+    let computes: Vec<NodeId> = base.compute_nodes().collect();
     let links: Vec<(EdgeId, Direction)> = base
         .edge_ids()
-        .filter(|&e| {
-            let l = base.link(e);
-            inside[l.a().index()] && inside[l.b().index()]
-        })
         .flat_map(|e| [(e, Direction::AtoB), (e, Direction::BtoA)])
         .collect();
-    debug_assert!(
-        scope.is_some()
-            || links
-                .iter()
-                .enumerate()
-                .all(|(slot, &(e, dir))| slot == e.index() * 2 + dir as usize)
-    );
+    debug_assert!(links
+        .iter()
+        .enumerate()
+        .all(|(slot, &(e, dir))| slot == e.index() * 2 + dir as usize));
     // Baseline the octet counters at install time.
     let last_bits: Vec<f64> = links
         .iter()
@@ -385,10 +341,7 @@ fn install_impl(
         rng: StdRng::seed_from_u64(config.seed),
         loss_rng: StdRng::seed_from_u64(config.seed ^ 0x4C05_5E5A),
     };
-    let id = match home {
-        Some(node) => sim.install_driver_at(node, samples),
-        None => sim.install_driver(samples),
-    };
+    let id = sim.install_driver(samples);
     sim.schedule_driver_in(config.period, id);
     id
 }
@@ -603,82 +556,6 @@ mod tests {
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));
-    }
-
-    /// Two disconnected stars in one topology; `groups[s][0]` is the hub,
-    /// the rest are compute hosts.
-    fn twin_stars() -> (Topology, Vec<Vec<NodeId>>) {
-        let mut topo = Topology::new();
-        let mut groups = Vec::new();
-        for s in 0..2 {
-            let hub = topo.add_network_node(format!("g{s}-hub"));
-            let mut nodes = vec![hub];
-            for h in 0..3 {
-                let n = topo.add_compute_node(format!("g{s}-h{h}"), 1.0);
-                topo.add_link(hub, n, 100.0 * MBPS);
-                nodes.push(n);
-            }
-            groups.push(nodes);
-        }
-        (topo, groups)
-    }
-
-    #[test]
-    fn scoped_collector_matches_full_collector_on_its_scope() {
-        let (topo, groups) = twin_stars();
-        // Group 0's links are exactly the first three edges added.
-        let in_scope = |e: EdgeId| e.index() < 3;
-        type LinkHist = (EdgeId, Direction, Vec<f64>);
-        let run = |scoped: bool| -> (Vec<Vec<f64>>, Vec<LinkHist>, Vec<u64>) {
-            let mut sim = Sim::new(topo.clone());
-            let cfg = CollectorConfig::default(); // exact: noise 0, loss 0
-            let id = if scoped {
-                install_scoped(&mut sim, groups[0][1], &groups[0], cfg)
-            } else {
-                install(&mut sim, cfg)
-            };
-            // Identical workload either way, in both groups.
-            sim.start_compute_detached(groups[0][1], 1e9);
-            sim.start_transfer_detached(groups[0][1], groups[0][2], 1e18);
-            sim.start_compute_detached(groups[1][1], 1e9);
-            sim.run_until(SimTime::from_secs(60));
-            let st = samples(&sim, id);
-            let hosts = groups[0][1..]
-                .iter()
-                .map(|&n| st.host[n.index()].iter().collect())
-                .collect();
-            let links = st
-                .link_slots()
-                .iter()
-                .enumerate()
-                .filter(|&(_, &(e, _))| in_scope(e))
-                .map(|(slot, &(e, dir))| (e, dir, st.link[slot].iter().collect()))
-                .collect();
-            let snap_loads = groups[0][1..]
-                .iter()
-                .map(|&n| st.snap.load_avg(n).to_bits())
-                .collect();
-            (hosts, links, snap_loads)
-        };
-        let full = run(false);
-        let scoped = run(true);
-        assert_eq!(full, scoped);
-        assert!(!full.1.is_empty(), "no in-scope link histories compared");
-
-        // And the scoped collector truly never touched group 1.
-        let mut sim = Sim::new(topo.clone());
-        let id = install_scoped(
-            &mut sim,
-            groups[0][1],
-            &groups[0],
-            CollectorConfig::default(),
-        );
-        sim.start_compute_detached(groups[1][1], 1e9);
-        sim.run_until(SimTime::from_secs(60));
-        let st = samples(&sim, id);
-        assert!(st.sample_count > 0);
-        assert_eq!(st.host[groups[1][1].index()].len(), 0);
-        assert!(st.link_slots().iter().all(|&(e, _)| in_scope(e)));
     }
 
     #[test]

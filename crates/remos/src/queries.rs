@@ -1,6 +1,6 @@
 //! The two-level Remos query API: flow queries and logical topology.
 
-use crate::collector::{install, install_scoped, CollectorConfig, Samples};
+use crate::collector::{install, CollectorConfig, Samples};
 use crate::estimator::Estimator;
 use nodesel_simnet::{DriverId, Sim, SimTime};
 use nodesel_topology::{Direction, NetMetrics, NetSnapshot, NodeId, Topology, TopologyError};
@@ -93,25 +93,6 @@ impl Remos {
     pub fn install(sim: &mut Sim, config: CollectorConfig) -> Remos {
         Remos {
             driver: install(sim, config),
-            stats: Rc::new(Cell::new(QueryStats::default())),
-            seen_epoch: Rc::new(Cell::new(None)),
-        }
-    }
-
-    /// Installs a collector that samples only `scope`'s compute nodes and
-    /// the links internal to `scope`, homed at `home` (see
-    /// [`Sim::install_driver_at`]). When `scope` covers a whole partition
-    /// domain, the collector reads no foreign state and can run inside a
-    /// single shard of the parallel engine. Queries outside the scope
-    /// answer from the unmeasured baseline.
-    pub fn install_scoped(
-        sim: &mut Sim,
-        home: NodeId,
-        scope: &[NodeId],
-        config: CollectorConfig,
-    ) -> Remos {
-        Remos {
-            driver: install_scoped(sim, home, scope, config),
             stats: Rc::new(Cell::new(QueryStats::default())),
             seen_epoch: Rc::new(Cell::new(None)),
         }

@@ -6,7 +6,6 @@ use crate::time::{EventKey, SimTime};
 use crate::trace::{TraceEvent, Tracer};
 use nodesel_topology::{Direction, EdgeId, NodeId, RouteTable, Topology};
 use std::any::Any;
-use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
@@ -35,13 +34,7 @@ pub struct DriverId(u32);
 /// temporarily removed from the registry (it may freely mutate the
 /// simulator, including scheduling its next firing via
 /// [`Sim::schedule_driver_in`], but cannot re-enter itself).
-///
-/// Drivers must be `Send`: the parallel engine moves shards — including
-/// their cloned driver state — onto worker threads. Driver state is plain
-/// data (RNGs, counters, sample windows), so this costs implementors
-/// nothing; it rules out thread-bound handles like `Rc`, which would be
-/// unsoundly shared between sibling shards after a fork.
-pub trait DriverLogic: Clone + Send + 'static {
+pub trait DriverLogic: Clone + 'static {
     /// Handles one scheduled firing. `me` is the driver's own id, for
     /// rescheduling.
     fn fire(&mut self, sim: &mut Sim, me: DriverId);
@@ -72,7 +65,7 @@ impl<T: DriverLogic> DriverObj for T {
 
 enum EventKind {
     HostWake { host: usize, generation: u64 },
-    NetWake { domain: u16, generation: u64 },
+    NetWake { generation: u64 },
     Driver { slot: u32 },
     User(Callback),
 }
@@ -88,7 +81,7 @@ impl QueuedEvent {
     fn clone_data(&self) -> QueuedEvent {
         let kind = match self.kind {
             EventKind::HostWake { host, generation } => EventKind::HostWake { host, generation },
-            EventKind::NetWake { domain, generation } => EventKind::NetWake { domain, generation },
+            EventKind::NetWake { generation } => EventKind::NetWake { generation },
             EventKind::Driver { slot } => EventKind::Driver { slot },
             EventKind::User(_) => unreachable!("fork with a pending user closure"),
         };
@@ -136,25 +129,10 @@ pub struct SimStats {
 ///
 /// # Determinism
 ///
-/// Events dispatch in [`EventKey`] order: time first, then the owning
-/// partition domain, then that domain's strictly monotone sequence
-/// number. Every internal algorithm iterates in dense-index order, so a
-/// run is a pure function of the topology and the scheduled events —
-/// *independent of the order unrelated domains were populated in*. An
-/// unpartitioned simulator homes everything in domain 0, which
-/// reproduces the historical global-insertion-order tie-break
-/// bit-for-bit.
-///
-/// # Partitioning
-///
-/// [`Sim::set_partition`] assigns every node a *domain* (shard) index.
-/// Each event is homed in the domain of the entity it targets: a host
-/// wake in its node's domain, a driver firing in the domain it was
-/// installed at ([`Sim::install_driver_at`]), a flow in its source
-/// node's domain. Task and flow ids are minted from per-domain counters
-/// (`domain << 48 | counter`), so ids, sequence numbers, and therefore
-/// the whole dispatch order are per-domain properties — the foundation
-/// the parallel engine's bit-exactness rests on.
+/// Events dispatch in [`EventKey`] order: time first, then a strictly
+/// monotone insertion sequence number. Every internal algorithm iterates
+/// in dense-index order, so a run is a pure function of the topology and
+/// the scheduled events.
 ///
 /// # Checkpointing
 ///
@@ -173,26 +151,19 @@ pub struct Sim {
     routes: Arc<RouteTable>,
     time: SimTime,
     queue: BinaryHeap<Reverse<QueuedEvent>>,
-    /// Per-domain event sequence counters (index = domain).
-    seqs: Vec<u64>,
-    /// Domain of each node (empty when unpartitioned: everything is
-    /// domain 0).
-    node_domain: Vec<u16>,
-    /// Number of partition domains (1 when unpartitioned).
-    num_domains: u16,
-    /// Home domain of each installed driver slot.
-    driver_home: Vec<u16>,
+    /// Sequence number of the next queued event (the tie-break among
+    /// events scheduled for the same instant).
+    seq: u64,
     hosts: Vec<Option<Host>>,
     host_generation: Vec<u64>,
     flows: FlowTable,
-    /// Per-domain network-wake generation counters: each domain's wake
-    /// event tracks only that domain's flows, so one domain's churn never
-    /// invalidates another's scheduled wake.
-    net_generation: Vec<u64>,
-    /// Per-domain task-id counters; ids are `domain << 48 | counter`.
-    next_task: Vec<u64>,
-    /// Per-domain flow-id counters; ids are `domain << 48 | counter`.
-    next_flow: Vec<u64>,
+    /// Generation of the armed network wake; a queued wake carrying an
+    /// older generation is stale and dispatches as a no-op.
+    net_generation: u64,
+    /// Next task id to mint.
+    next_task: u64,
+    /// Next flow id to mint.
+    next_flow: u64,
     task_done: HashMap<TaskId, Callback>,
     flow_done: HashMap<FlowId, (f64, Callback)>,
     /// Reused drain buffer for finished flows (no per-event allocation).
@@ -215,20 +186,6 @@ pub struct Sim {
     aborted_flows: Vec<FlowId>,
     stats: SimStats,
     tracer: Option<Tracer>,
-    /// Key of the event currently dispatching (stale outside
-    /// [`Sim::step`]). Trace records carry it so per-shard traces can be
-    /// merged back into exact serial dispatch order.
-    dispatch_key: EventKey,
-    /// Domains this simulator executes (`None` = all of them). A shard
-    /// produced by [`Sim::shard_fork`] owns a subset; touching anything
-    /// outside it trips `escalated` instead of silently diverging.
-    owned: Option<Box<[bool]>>,
-    /// Set when a foreign-domain interaction happened: the shard's state
-    /// is no longer a faithful slice of the serial execution and must be
-    /// discarded (the parallel engine replays serially instead).
-    escalated: Cell<bool>,
-    /// Reused buffer for the homes rescheduled after a flow mutation.
-    resched_buf: Vec<u16>,
 }
 
 impl Sim {
@@ -286,16 +243,13 @@ impl Sim {
             routes,
             time: SimTime::ZERO,
             queue: BinaryHeap::new(),
-            seqs: vec![0],
-            node_domain: Vec::new(),
-            num_domains: 1,
-            driver_home: Vec::new(),
+            seq: 0,
             hosts,
             host_generation,
             flows,
-            net_generation: vec![0],
-            next_task: vec![1],
-            next_flow: vec![1],
+            net_generation: 0,
+            next_task: 1,
+            next_flow: 1,
             task_done: HashMap::new(),
             flow_done: HashMap::new(),
             finished_flows: Vec::new(),
@@ -307,14 +261,6 @@ impl Sim {
             aborted_flows: Vec::new(),
             stats: SimStats::default(),
             tracer: None,
-            dispatch_key: EventKey {
-                at: SimTime::ZERO,
-                domain: 0,
-                seq: 0,
-            },
-            owned: None,
-            escalated: Cell::new(false),
-            resched_buf: Vec::new(),
         }
     }
 
@@ -358,16 +304,13 @@ impl Sim {
                 .iter()
                 .map(|Reverse(e)| Reverse(e.clone_data()))
                 .collect(),
-            seqs: self.seqs.clone(),
-            node_domain: self.node_domain.clone(),
-            num_domains: self.num_domains,
-            driver_home: self.driver_home.clone(),
+            seq: self.seq,
             hosts: self.hosts.clone(),
             host_generation: self.host_generation.clone(),
             flows: self.flows.clone(),
-            net_generation: self.net_generation.clone(),
-            next_task: self.next_task.clone(),
-            next_flow: self.next_flow.clone(),
+            net_generation: self.net_generation,
+            next_task: self.next_task,
+            next_flow: self.next_flow,
             task_done: HashMap::new(),
             flow_done: HashMap::new(),
             finished_flows: Vec::new(),
@@ -389,10 +332,6 @@ impl Sim {
             aborted_flows: self.aborted_flows.clone(),
             stats: self.stats,
             tracer: self.tracer.clone(),
-            dispatch_key: self.dispatch_key,
-            owned: self.owned.clone(),
-            escalated: Cell::new(self.escalated.get()),
-            resched_buf: Vec::new(),
         };
         debug_assert_eq!(forked.queue.len(), self.queue.len());
         debug_assert_eq!(
@@ -403,148 +342,15 @@ impl Sim {
         forked
     }
 
-    // ----- Partitioning ---------------------------------------------------
-
-    /// Partitions the simulator into event-ordering domains: `node_domain`
-    /// assigns every node (by index) a domain id. Must be called on a
-    /// pristine simulator — before any event is scheduled, any driver is
-    /// installed, or any task/flow is started — because domains govern
-    /// sequence numbering and id minting from the very first action.
-    ///
-    /// Two runs that install the same per-domain drivers in *different*
-    /// orders produce bit-identical traces, because every tie-break and
-    /// every minted id is derived from per-domain counters rather than
-    /// global program order.
-    pub fn set_partition(&mut self, node_domain: &[u16]) {
-        assert_eq!(
-            node_domain.len(),
-            self.hosts.len(),
-            "partition must assign every node a domain"
-        );
-        assert!(
-            self.time == SimTime::ZERO
-                && self.queue.is_empty()
-                && self.drivers.is_empty()
-                && self.flows.is_empty()
-                && self.seqs.iter().all(|&s| s == 0),
-            "set_partition requires a pristine simulator"
-        );
-        let num_domains = node_domain.iter().copied().max().unwrap_or(0) + 1;
-        self.node_domain = node_domain.to_vec();
-        self.num_domains = num_domains;
-        let n = num_domains as usize;
-        self.seqs = vec![0; n];
-        self.next_task = vec![1; n];
-        self.next_flow = vec![1; n];
-        self.net_generation = vec![0; n];
-        self.flows.set_num_homes(num_domains);
-    }
-
-    /// Forks this simulator into a *shard* that executes only
-    /// `owned_domains`: the event queue is filtered to those domains'
-    /// events, the trace buffer starts empty (records before the split
-    /// belong to the parent), and the crash/abort drain lists are
-    /// cleared. Any interaction with a foreign domain — scheduling into
-    /// it, starting a transfer touching it, reading its state — trips the
-    /// shard's escalation flag (see [`Sim::run_until_or_escalate`])
-    /// instead of silently computing with stale foreign state.
-    ///
-    /// Same legality rule as [`Sim::fork`]: panics while a user closure
-    /// is pending.
-    pub(crate) fn shard_fork(&self, owned_domains: &[u16]) -> Sim {
-        let mut mask = vec![false; self.num_domains as usize];
-        for &d in owned_domains {
-            mask[d as usize] = true;
-        }
-        let mut shard = self.fork();
-        shard.queue = self
-            .queue
-            .iter()
-            .filter(|Reverse(e)| mask[e.key.domain as usize])
-            .map(|Reverse(e)| Reverse(e.clone_data()))
-            .collect();
-        shard.killed_tasks.clear();
-        shard.aborted_flows.clear();
-        shard.tracer = self.tracer.as_ref().map(|t| Tracer::new(t.limit()));
-        shard.owned = Some(mask.into_boxed_slice());
-        shard.escalated = Cell::new(false);
-        shard
-    }
-
-    /// True when this simulator executes `domain` (always true outside
-    /// shards).
-    #[inline]
-    fn owns(&self, domain: u16) -> bool {
-        match &self.owned {
-            None => true,
-            Some(mask) => mask[domain as usize],
-        }
-    }
-
-    /// Records that `domain` was touched; in a shard that does not own
-    /// it, this trips escalation.
-    #[inline]
-    fn note_domain(&self, domain: u16) {
-        if !self.owns(domain) {
-            self.escalated.set(true);
-        }
-    }
-
-    /// Records that both endpoint domains of `edge` were touched.
-    #[inline]
-    fn note_link(&self, edge: EdgeId) {
-        if self.owned.is_some() {
-            let l = self.topo.link(edge);
-            self.note_domain(self.domain_of(l.a()));
-            self.note_domain(self.domain_of(l.b()));
-        }
-    }
-
-    /// Records a whole-network observation (oracle snapshots, global flow
-    /// counts): escalates unless this simulator owns every domain.
-    #[inline]
-    fn note_global(&self) {
-        if let Some(mask) = &self.owned {
-            if mask.iter().any(|&o| !o) {
-                self.escalated.set(true);
-            }
-        }
-    }
-
-    /// True when a foreign-domain interaction has invalidated this shard.
-    pub(crate) fn escalated(&self) -> bool {
-        self.escalated.get()
-    }
-
-    /// Home domain of a flow id (its top 16 bits).
-    #[inline]
-    fn flow_home(id: FlowId) -> u16 {
-        (id.0 >> 48) as u16
-    }
-
-    /// Number of partition domains (1 when unpartitioned).
-    pub fn num_domains(&self) -> u16 {
-        self.num_domains
-    }
-
-    /// Domain of a node (0 when unpartitioned).
-    pub fn domain_of(&self, node: NodeId) -> u16 {
-        self.node_domain.get(node.index()).copied().unwrap_or(0)
-    }
-
-    fn mint_task(&mut self, domain: u16) -> TaskId {
-        let ctr = &mut self.next_task[domain as usize];
-        debug_assert!(*ctr < 1 << 48, "task-id counter overflow");
-        let id = TaskId((u64::from(domain) << 48) | *ctr);
-        *ctr += 1;
+    fn mint_task(&mut self) -> TaskId {
+        let id = TaskId(self.next_task);
+        self.next_task += 1;
         id
     }
 
-    fn mint_flow(&mut self, domain: u16) -> FlowId {
-        let ctr = &mut self.next_flow[domain as usize];
-        debug_assert!(*ctr < 1 << 48, "flow-id counter overflow");
-        let id = FlowId((u64::from(domain) << 48) | *ctr);
-        *ctr += 1;
+    fn mint_flow(&mut self) -> FlowId {
+        let id = FlowId(self.next_flow);
+        self.next_flow += 1;
         id
     }
 
@@ -553,24 +359,9 @@ impl Sim {
     /// Installs a recurring data-driven event source and returns its id.
     /// The driver fires only when scheduled (see
     /// [`Sim::schedule_driver_in`]); installation alone schedules nothing.
-    /// The driver is homed in domain 0; partition-aware callers should
-    /// use [`Sim::install_driver_at`].
     pub fn install_driver<T: DriverLogic>(&mut self, driver: T) -> DriverId {
         let slot = u32::try_from(self.drivers.len()).expect("too many drivers");
         self.drivers.push(Some(Box::new(driver)));
-        self.driver_home.push(0);
-        DriverId(slot)
-    }
-
-    /// Installs a driver *homed at a node*: its firings are sequenced in
-    /// (and, under the parallel engine, executed by) that node's
-    /// partition domain. On an unpartitioned simulator this is identical
-    /// to [`Sim::install_driver`].
-    pub fn install_driver_at<T: DriverLogic>(&mut self, home: NodeId, driver: T) -> DriverId {
-        let slot = u32::try_from(self.drivers.len()).expect("too many drivers");
-        let domain = self.domain_of(home);
-        self.drivers.push(Some(Box::new(driver)));
-        self.driver_home.push(domain);
         DriverId(slot)
     }
 
@@ -579,8 +370,7 @@ impl Sim {
     /// [`DriverLogic::fire`] once.
     pub fn schedule_driver_in(&mut self, delay_secs: f64, id: DriverId) {
         let at = self.time.after_secs_f64(delay_secs);
-        let domain = self.driver_home[id.0 as usize];
-        self.push(at, domain, EventKind::Driver { slot: id.0 });
+        self.push(at, EventKind::Driver { slot: id.0 });
     }
 
     /// Immutable access to an installed driver's state.
@@ -624,19 +414,8 @@ impl Sim {
     fn trace(&mut self, make: impl FnOnce(SimTime) -> TraceEvent) {
         if let Some(t) = self.tracer.as_mut() {
             let at = self.time;
-            let key = self.dispatch_key;
-            t.record(key, make(at));
+            t.record(make(at));
         }
-    }
-
-    /// Drains the trace buffer with each record's dispatch key attached.
-    /// Keys are unique per dispatch and strictly increasing within one
-    /// simulator, so shard traces merge back into exact serial order.
-    pub(crate) fn take_keyed_trace(&mut self) -> (Vec<(EventKey, TraceEvent)>, u64) {
-        self.tracer
-            .as_mut()
-            .map(Tracer::take_keyed)
-            .unwrap_or_default()
     }
 
     /// Current simulation time.
@@ -660,36 +439,28 @@ impl Sim {
         self.stats
     }
 
-    fn push(&mut self, at: SimTime, domain: u16, kind: EventKind) {
+    fn push(&mut self, at: SimTime, kind: EventKind) {
         debug_assert!(at >= self.time);
-        if !self.owns(domain) {
-            // A shard scheduling into a foreign domain: the event would
-            // execute elsewhere. Drop it and mark the shard invalid.
-            self.escalated.set(true);
-            return;
-        }
-        let seq = self.seqs[domain as usize];
-        self.seqs[domain as usize] += 1;
+        let seq = self.seq;
+        self.seq += 1;
         self.queue.push(Reverse(QueuedEvent {
-            key: EventKey { at, domain, seq },
+            key: EventKey { at, seq },
             kind,
         }));
     }
 
-    /// Schedules `f` to run at absolute time `at` (clamped to now). User
-    /// closures are homed in domain 0: they exist only in serial phases
-    /// (application launch and drain), never under the parallel engine.
+    /// Schedules `f` to run at absolute time `at` (clamped to now).
     pub fn schedule_at(&mut self, at: SimTime, f: impl FnOnce(&mut Sim) + 'static) {
         let at = at.max(self.time);
         self.user_events += 1;
-        self.push(at, 0, EventKind::User(Box::new(f)));
+        self.push(at, EventKind::User(Box::new(f)));
     }
 
     /// Schedules `f` to run `delay_secs` from now.
     pub fn schedule_in(&mut self, delay_secs: f64, f: impl FnOnce(&mut Sim) + 'static) {
         let at = self.time.after_secs_f64(delay_secs);
         self.user_events += 1;
-        self.push(at, 0, EventKind::User(Box::new(f)));
+        self.push(at, EventKind::User(Box::new(f)));
     }
 
     // ----- CPU tasks ------------------------------------------------------
@@ -709,10 +480,8 @@ impl Sim {
             .expect("compute node")
             .next_completion();
         if at != SimTime::NEVER {
-            let domain = self.domain_of(node);
             self.push(
                 at.max(self.time),
-                domain,
                 EventKind::HostWake {
                     host: idx,
                     generation,
@@ -729,8 +498,7 @@ impl Sim {
         work: f64,
         on_done: impl FnOnce(&mut Sim) + 'static,
     ) -> TaskId {
-        self.note_domain(self.domain_of(node));
-        let id = self.mint_task(self.domain_of(node));
+        let id = self.mint_task();
         if !self.node_up[node.index()] {
             // A crashed host refuses work: the task is killed on arrival
             // and surfaced through `take_killed_tasks`; `on_done` never
@@ -753,8 +521,7 @@ impl Sim {
     /// no completion callback, so it leaves no closure behind and keeps
     /// the simulator forkable. Background load generators use this.
     pub fn start_compute_detached(&mut self, node: NodeId, work: f64) -> TaskId {
-        self.note_domain(self.domain_of(node));
-        let id = self.mint_task(self.domain_of(node));
+        let id = self.mint_task();
         if !self.node_up[node.index()] {
             self.killed_tasks.push((node, id));
             self.trace(|at| TraceEvent::TaskKilled { at, node, id });
@@ -772,7 +539,6 @@ impl Sim {
     /// Cancels a running CPU task; its completion callback is dropped.
     /// Returns true when the task was live on `node`.
     pub fn cancel_compute(&mut self, node: NodeId, id: TaskId) -> bool {
-        self.note_domain(self.domain_of(node));
         let now = self.time;
         let host = self.host_mut(node);
         host.settle(now);
@@ -787,46 +553,17 @@ impl Sim {
 
     // ----- Flows ----------------------------------------------------------
 
-    fn reschedule_net(&mut self, domain: u16) {
-        let g = &mut self.net_generation[domain as usize];
-        *g += 1;
-        let generation = *g;
-        // O(log heap) via the domain's completion heap; flows starved by
-        // a zero-capacity link report NEVER and schedule nothing.
-        let at = self.flows.next_wake_home(domain);
+    /// Re-arms the network wake after a flow mutation: the previous wake
+    /// (if any) is invalidated by the generation bump.
+    fn reschedule_net(&mut self) {
+        self.net_generation += 1;
+        let generation = self.net_generation;
+        // O(log heap) via the completion heap; flows starved by a
+        // zero-capacity link report NEVER and schedule nothing.
+        let at = self.flows.next_wake();
         if at != SimTime::NEVER {
-            self.push(
-                at.max(self.time),
-                domain,
-                EventKind::NetWake { domain, generation },
-            );
+            self.push(at.max(self.time), EventKind::NetWake { generation });
         }
-    }
-
-    /// Reschedules the network wake of every home the last flow mutation
-    /// touched (rate changes reported by the flow table) plus `extras`
-    /// (the homes of the flows added/removed/finished by the mutation
-    /// itself, whose rates may be unchanged). Each home is rescheduled
-    /// once, in ascending order. Unpartitioned this is exactly one
-    /// reschedule of domain 0 — the historical behaviour.
-    fn resched_net_homes(&mut self, extras: &[u16]) {
-        let mut homes = std::mem::take(&mut self.resched_buf);
-        self.flows.drain_touched_into(&mut homes);
-        for &d in extras {
-            if !homes.contains(&d) {
-                homes.push(d);
-            }
-        }
-        homes.sort_unstable();
-        for &d in &homes {
-            self.reschedule_net(d);
-        }
-        homes.clear();
-        self.resched_buf = homes;
-    }
-
-    fn resched_net(&mut self, trigger: u16) {
-        self.resched_net_homes(&[trigger]);
     }
 
     /// Starts a bulk transfer of `bits` from `src` to `dst` along the fixed
@@ -842,11 +579,7 @@ impl Sim {
         bits: f64,
         on_done: impl FnOnce(&mut Sim) + 'static,
     ) -> FlowId {
-        if self.owned.is_some() {
-            self.note_domain(self.domain_of(src));
-            self.note_domain(self.domain_of(dst));
-        }
-        let id = self.mint_flow(self.domain_of(src));
+        let id = self.mint_flow();
         if !self.node_up[src.index()] || !self.node_up[dst.index()] {
             // A crashed endpoint aborts the transfer on arrival; `on_done`
             // never fires. Surfaced through `take_aborted_flows`.
@@ -863,11 +596,6 @@ impl Sim {
             .routes
             .resolve(&self.topo, src, dst)
             .expect("transfer endpoints must be connected");
-        if self.owned.is_some() {
-            for &(e, _) in &path.hops {
-                self.note_link(e);
-            }
-        }
         let latency: f64 = path
             .hops
             .iter()
@@ -876,7 +604,7 @@ impl Sim {
         self.flows.settle(self.time);
         self.flows.add_flow(id, &path, bits);
         self.flow_done.insert(id, (latency, Box::new(on_done)));
-        self.resched_net(Self::flow_home(id));
+        self.reschedule_net();
         self.trace(|at| TraceEvent::FlowStarted {
             at,
             id,
@@ -893,11 +621,7 @@ impl Sim {
     /// behind so the simulator stays forkable. Background traffic
     /// generators use this.
     pub fn start_transfer_detached(&mut self, src: NodeId, dst: NodeId, bits: f64) -> FlowId {
-        if self.owned.is_some() {
-            self.note_domain(self.domain_of(src));
-            self.note_domain(self.domain_of(dst));
-        }
-        let id = self.mint_flow(self.domain_of(src));
+        let id = self.mint_flow();
         if !self.node_up[src.index()] || !self.node_up[dst.index()] {
             self.aborted_flows.push(id);
             self.trace(|at| TraceEvent::FlowAborted { at, id });
@@ -911,14 +635,9 @@ impl Sim {
             .routes
             .resolve(&self.topo, src, dst)
             .expect("transfer endpoints must be connected");
-        if self.owned.is_some() {
-            for &(e, _) in &path.hops {
-                self.note_link(e);
-            }
-        }
         self.flows.settle(self.time);
         self.flows.add_flow(id, &path, bits);
-        self.resched_net(Self::flow_home(id));
+        self.reschedule_net();
         self.trace(|at| TraceEvent::FlowStarted {
             at,
             id,
@@ -931,12 +650,11 @@ impl Sim {
 
     /// Cancels a live flow, dropping its callback. Returns true when live.
     pub fn cancel_transfer(&mut self, id: FlowId) -> bool {
-        self.note_domain(Self::flow_home(id));
         self.flows.settle(self.time);
         let removed = self.flows.remove_flow(id);
         if removed {
             self.flow_done.remove(&id);
-            self.resched_net(Self::flow_home(id));
+            self.reschedule_net();
             self.trace(|at| TraceEvent::FlowCancelled { at, id });
         }
         removed
@@ -946,21 +664,18 @@ impl Sim {
 
     /// True when `node` has not crashed.
     pub fn node_is_up(&self, node: NodeId) -> bool {
-        self.note_domain(self.domain_of(node));
         self.node_up[node.index()]
     }
 
     /// True when `edge` is administratively up. Its endpoints may still
     /// be down; see [`Sim::link_effective_up`].
     pub fn link_is_up(&self, edge: EdgeId) -> bool {
-        self.note_link(edge);
         self.link_up[edge.index()]
     }
 
     /// True when traffic can actually cross `edge`: the link itself and
     /// both endpoint nodes are up.
     pub fn link_effective_up(&self, edge: EdgeId) -> bool {
-        self.note_link(edge);
         let l = self.topo.link(edge);
         self.link_up[edge.index()] && self.node_up[l.a().index()] && self.node_up[l.b().index()]
     }
@@ -971,7 +686,7 @@ impl Sim {
     /// (they predict no completion and schedule nothing — the
     /// administratively-down path); restored links resume at their
     /// engineered rates.
-    fn refresh_capacities(&mut self, trigger: u16, edges: &[EdgeId]) {
+    fn refresh_capacities(&mut self, edges: &[EdgeId]) {
         let mut changes: Vec<(EdgeId, Direction, f64)> = Vec::with_capacity(edges.len() * 2);
         for &e in edges {
             let up = self.link_effective_up(e);
@@ -983,7 +698,7 @@ impl Sim {
         }
         self.flows.settle(self.time);
         if self.flows.set_capacities(&changes) {
-            self.resched_net(trigger);
+            self.reschedule_net();
         }
     }
 
@@ -992,7 +707,6 @@ impl Sim {
     /// resume when the link returns. Returns true when the state
     /// actually changed.
     pub fn set_link_up(&mut self, edge: EdgeId, up: bool) -> bool {
-        self.note_link(edge);
         if self.link_up[edge.index()] == up {
             return false;
         }
@@ -1004,8 +718,7 @@ impl Sim {
                 TraceEvent::LinkDown { at, edge }
             }
         });
-        let trigger = self.domain_of(self.topo.link(edge).a());
-        self.refresh_capacities(trigger, &[edge]);
+        self.refresh_capacities(&[edge]);
         true
     }
 
@@ -1016,7 +729,6 @@ impl Sim {
     /// links drop to zero effective capacity so flows routed *through*
     /// it stall. Returns true when the node was up.
     pub fn crash_node(&mut self, node: NodeId) -> bool {
-        self.note_domain(self.domain_of(node));
         if !self.node_up[node.index()] {
             return false;
         }
@@ -1037,21 +749,16 @@ impl Sim {
         self.flows.settle(self.time);
         let aborted = self.flows.flows_with_endpoint(node);
         if !aborted.is_empty() {
-            let mut homes: Vec<u16> = Vec::with_capacity(aborted.len());
             for id in aborted {
                 self.flows.remove_flow(id);
                 self.flow_done.remove(&id);
                 self.aborted_flows.push(id);
                 self.trace(|at| TraceEvent::FlowAborted { at, id });
-                let home = Self::flow_home(id);
-                if !homes.contains(&home) {
-                    homes.push(home);
-                }
             }
-            self.resched_net_homes(&homes);
+            self.reschedule_net();
         }
         let edges: Vec<EdgeId> = self.topo.neighbors(node).iter().map(|&(e, _)| e).collect();
-        self.refresh_capacities(self.domain_of(node), &edges);
+        self.refresh_capacities(&edges);
         true
     }
 
@@ -1059,14 +766,13 @@ impl Sim {
     /// its incident links (those not independently down) resume at their
     /// engineered capacities. Returns true when the node was down.
     pub fn reboot_node(&mut self, node: NodeId) -> bool {
-        self.note_domain(self.domain_of(node));
         if self.node_up[node.index()] {
             return false;
         }
         self.node_up[node.index()] = true;
         self.trace(|at| TraceEvent::NodeUp { at, node });
         let edges: Vec<EdgeId> = self.topo.neighbors(node).iter().map(|&(e, _)| e).collect();
-        self.refresh_capacities(self.domain_of(node), &edges);
+        self.refresh_capacities(&edges);
         true
     }
 
@@ -1087,7 +793,6 @@ impl Sim {
 
     /// Instantaneous run-queue length of a compute node.
     pub fn run_queue(&self, node: NodeId) -> usize {
-        self.note_domain(self.domain_of(node));
         self.hosts[node.index()]
             .as_ref()
             .expect("compute node")
@@ -1097,7 +802,6 @@ impl Sim {
     /// Load average of a compute node as of now (damped analytically; does
     /// not mutate state).
     pub fn load_avg(&self, node: NodeId) -> f64 {
-        self.note_domain(self.domain_of(node));
         let host = self.hosts[node.index()].as_ref().expect("compute node");
         // Analytic continuation of the host EWMA to the current instant.
         let mut h = host.clone();
@@ -1107,7 +811,6 @@ impl Sim {
 
     /// Aggregate flow rate on a directed link right now, bits/s.
     pub fn link_rate(&self, edge: EdgeId, dir: Direction) -> f64 {
-        self.note_link(edge);
         self.flows.link_rate(edge, dir)
     }
 
@@ -1115,19 +818,16 @@ impl Sim {
     /// octet counter). Exact at any instant: the flow table accumulates on
     /// rate change and extrapolates to the engine clock on read.
     pub fn link_bits(&self, edge: EdgeId, dir: Direction) -> f64 {
-        self.note_link(edge);
         self.flows.link_bits_at(edge, dir, self.time)
     }
 
-    /// Number of live flows (a whole-network observation).
+    /// Number of live flows.
     pub fn flow_count(&self) -> usize {
-        self.note_global();
         self.flows.len()
     }
 
     /// Reference-seconds of CPU work completed on a node so far.
     pub fn completed_work(&self, node: NodeId) -> f64 {
-        self.note_domain(self.domain_of(node));
         self.hosts[node.index()]
             .as_ref()
             .expect("compute node")
@@ -1140,7 +840,6 @@ impl Sim {
     /// oracle" measurement; `nodesel-remos` layers realistic sampling on
     /// top.
     pub fn oracle_snapshot(&self) -> Topology {
-        self.note_global();
         let mut t = (*self.topo).clone();
         let computes: Vec<NodeId> = t.compute_nodes().collect();
         for n in computes {
@@ -1164,7 +863,6 @@ impl Sim {
         };
         debug_assert!(ev.key.at >= self.time, "event from the past");
         self.time = ev.key.at;
-        self.dispatch_key = ev.key;
         self.stats.events += 1;
         match ev.kind {
             EventKind::User(f) => {
@@ -1176,9 +874,9 @@ impl Sim {
                     self.on_host_wake(host);
                 }
             }
-            EventKind::NetWake { domain, generation } => {
-                if generation == self.net_generation[domain as usize] {
-                    self.on_net_wake(domain);
+            EventKind::NetWake { generation } => {
+                if generation == self.net_generation {
+                    self.on_net_wake();
                 }
             }
             EventKind::Driver { slot } => {
@@ -1211,11 +909,11 @@ impl Sim {
         }
     }
 
-    fn on_net_wake(&mut self, domain: u16) {
+    fn on_net_wake(&mut self) {
         self.flows.settle(self.time);
         let mut finished = std::mem::take(&mut self.finished_flows);
-        self.flows.take_finished_home_into(domain, &mut finished);
-        self.resched_net(domain);
+        self.flows.take_finished_into(&mut finished);
+        self.reschedule_net();
         for &id in &finished {
             self.stats.completed_flows += 1;
             self.trace(|at| TraceEvent::FlowFinished { at, id });
@@ -1235,7 +933,10 @@ impl Sim {
     }
 
     /// Runs all events up to and including `limit`, then sets the clock to
-    /// `limit`. Later events stay queued.
+    /// `limit`. Later events stay queued. A [`SimTime::NEVER`] limit
+    /// drains the queue like [`Sim::run`] and leaves the clock at the
+    /// last dispatched event: parking it at `NEVER` would make every
+    /// later task and transfer "complete" at `NEVER` too.
     pub fn run_until(&mut self, limit: SimTime) {
         while let Some(Reverse(ev)) = self.queue.peek() {
             if ev.key.at > limit {
@@ -1243,40 +944,15 @@ impl Sim {
             }
             self.step();
         }
-        self.time = self.time.max(limit);
+        if limit != SimTime::NEVER {
+            self.time = self.time.max(limit);
+        }
     }
 
     /// Runs for `secs` simulated seconds from now.
     pub fn run_for(&mut self, secs: f64) {
         let limit = self.time.after_secs_f64(secs);
         self.run_until(limit);
-    }
-
-    /// Timestamp of the earliest queued event, if any. The parallel
-    /// engine uses this to size conservative windows.
-    pub(crate) fn next_event_time(&self) -> Option<SimTime> {
-        self.queue.peek().map(|Reverse(e)| e.key.at)
-    }
-
-    /// [`Sim::run_until`] that stops at the first foreign-domain
-    /// interaction. Returns true when the run completed cleanly; false
-    /// when the shard escalated (its state is invalid and must be
-    /// discarded — the clock is left wherever the run stopped).
-    pub(crate) fn run_until_or_escalate(&mut self, limit: SimTime) -> bool {
-        if self.escalated.get() {
-            return false;
-        }
-        while let Some(Reverse(ev)) = self.queue.peek() {
-            if ev.key.at > limit {
-                break;
-            }
-            self.step();
-            if self.escalated.get() {
-                return false;
-            }
-        }
-        self.time = self.time.max(limit);
-        true
     }
 }
 
@@ -1447,6 +1123,20 @@ mod tests {
         assert!(!*fired.borrow());
         sim.run_until(t(10.0));
         assert!(*fired.borrow());
+    }
+
+    #[test]
+    fn draining_with_an_infinite_limit_leaves_a_finite_clock() {
+        let (topo, ids) = star(2, 100.0 * MBPS);
+        let mut sim = Sim::new(topo);
+        sim.start_transfer_detached(ids[0], ids[1], 100.0 * MBPS);
+        sim.run_for(f64::INFINITY);
+        assert_eq!(sim.now(), t(1.0));
+        // Work started afterwards completes a finite time later.
+        sim.start_compute_detached(ids[0], 2.0);
+        assert_eq!(sim.run(), t(3.0));
+        sim.run_until(SimTime::NEVER);
+        assert_eq!(sim.now(), t(3.0));
     }
 
     #[test]
@@ -1637,196 +1327,85 @@ mod tests {
         let _ = sim.fork();
     }
 
-    /// Two disconnected 3-host subnets plus the node → domain map.
-    fn federated_pair() -> (Topology, Vec<Vec<NodeId>>, Vec<u16>) {
+    /// Two 3-host star subnets joined hub to hub by a 2 ms trunk.
+    fn trunked_pair() -> (Topology, Vec<Vec<NodeId>>) {
         let mut topo = Topology::new();
+        let mut hubs = Vec::new();
         let mut subnets = Vec::new();
-        let mut node_domain = Vec::new();
-        for s in 0..2u16 {
+        for s in 0..2 {
             let sw = topo.add_network_node(format!("s{s}-sw"));
-            node_domain.push(s);
             let mut hosts = Vec::new();
             for h in 0..3 {
                 let n = topo.add_compute_node(format!("s{s}-h{h}"), 1.0);
-                node_domain.push(s);
                 topo.add_link(sw, n, 100.0 * MBPS);
                 hosts.push(n);
             }
+            hubs.push(sw);
             subnets.push(hosts);
         }
-        (topo, subnets, node_domain)
+        topo.add_link_full(hubs[0], hubs[1], 50.0 * MBPS, 50.0 * MBPS, 2e-3);
+        (topo, subnets)
     }
 
-    #[test]
-    fn permuted_installation_runs_identically() {
-        // The ISSUE-6 regression: with domain-scoped event keys, the order
-        // in which unrelated subnets' drivers are *installed* must not
-        // change the dispatch order (it used to, via the global insertion
-        // counter that broke timestamp ties).
-        let run = |order: [usize; 2]| {
-            let (topo, subnets, node_domain) = federated_pair();
-            let mut sim = Sim::new(topo);
-            sim.set_partition(&node_domain);
-            sim.enable_trace(usize::MAX);
-            for &s in &order {
-                let d = sim.install_driver_at(
-                    subnets[s][0],
-                    Churn {
-                        nodes: subnets[s].clone(),
-                        state: 1000 + s as u64,
-                        fired: 0,
-                    },
-                );
-                sim.schedule_driver_in(0.0, d);
+    /// FNV-1a over the `Debug` rendering of every trace record and of
+    /// the run statistics.
+    fn digest(trace: &[TraceEvent], stats: SimStats) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |s: String| {
+            for b in s.bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
             }
-            sim.run_for(50.0);
-            (sim.now(), sim.stats(), sim.take_trace().0)
         };
-        let ab = run([0, 1]);
-        let ba = run([1, 0]);
-        assert_eq!(ab.0, ba.0);
-        assert_eq!(ab.1, ba.1);
-        assert_eq!(ab.2, ba.2);
-        assert!(ab.1.events > 100, "churn drivers barely ran");
-    }
-
-    /// Installs per-subnet load for the sharding tests: churn traffic
-    /// plus scheduled and stochastic faults, all homed inside `hosts`.
-    fn install_subnet_churn(sim: &mut Sim, hosts: &[NodeId], seed: u64) {
-        use crate::fault::{install_faults_at, FaultAction, FaultPlan, Flap, FlapTarget};
-        let d = sim.install_driver_at(
-            hosts[0],
-            Churn {
-                nodes: hosts.to_vec(),
-                state: seed,
-                fired: 0,
-            },
-        );
-        sim.schedule_driver_in(0.0, d);
-        install_faults_at(
-            sim,
-            hosts[0],
-            &FaultPlan {
-                scheduled: vec![
-                    (40.0, FaultAction::CrashNode(hosts[2])),
-                    (55.0, FaultAction::RebootNode(hosts[2])),
-                ],
-                flaps: vec![Flap {
-                    target: FlapTarget::Node(hosts[1]),
-                    mean_up: 25.0,
-                    mean_down: 4.0,
-                }],
-                seed: seed ^ 0xF00D,
-            },
-        );
-    }
-
-    #[test]
-    fn sharded_forks_reproduce_serial_partitioned_run() {
-        let build = || {
-            let (topo, subnets, node_domain) = federated_pair();
-            let mut sim = Sim::new(topo);
-            sim.set_partition(&node_domain);
-            sim.enable_trace(usize::MAX);
-            for (s, hosts) in subnets.iter().enumerate() {
-                install_subnet_churn(&mut sim, hosts, 7 + s as u64);
-            }
-            sim
-        };
-        let horizon = t(150.0);
-
-        let mut serial = build();
-        serial.run_until(horizon);
-        let serial_stats = serial.stats();
-        let (serial_trace, _) = serial.take_keyed_trace();
-        assert!(serial_stats.events > 500, "churn barely ran");
-
-        // Split at t=0 into one shard per domain, run them to the same
-        // horizon independently, and merge by dispatch key.
-        let master = build();
-        let base = master.stats();
-        let mut total = base;
-        let mut merged = Vec::new();
-        for domain in 0..2u16 {
-            let mut shard = master.shard_fork(&[domain]);
-            assert!(
-                shard.run_until_or_escalate(horizon),
-                "disconnected subnets must not escalate"
-            );
-            assert_eq!(shard.now(), horizon);
-            let s = shard.stats();
-            total.completed_tasks += s.completed_tasks - base.completed_tasks;
-            total.completed_flows += s.completed_flows - base.completed_flows;
-            total.events += s.events - base.events;
-            let (tr, dropped) = shard.take_keyed_trace();
-            assert_eq!(dropped, 0);
-            merged.extend(tr);
+        for e in trace {
+            eat(format!("{e:?}"));
         }
-        merged.sort_by_key(|&(k, _)| k);
-        assert_eq!(total, serial_stats, "merged stats diverge from serial");
-        assert_eq!(merged, serial_trace, "merged trace diverges from serial");
+        eat(format!("{stats:?}"));
+        h
     }
 
     #[test]
-    fn shard_owning_every_domain_is_a_plain_fork() {
-        let (topo, subnets, node_domain) = federated_pair();
+    fn dispatch_order_is_pinned() {
+        // Golden value computed at f952dad, before the partition was
+        // unthreaded from the engine: one churn driver inside each
+        // subnet and two spanning the trunk. Firing gaps are multiples
+        // of 25 ms, task and flow sizes multiples of 20 ms and 10 ms of
+        // service, so driver firings, host wakes and net wakes collide
+        // on the same nanosecond and the `(at, seq)` tie-break decides.
+        let (topo, subnets) = trunked_pair();
         let mut sim = Sim::new(topo);
-        sim.set_partition(&node_domain);
         sim.enable_trace(usize::MAX);
-        for (s, hosts) in subnets.iter().enumerate() {
-            install_subnet_churn(&mut sim, hosts, 31 + s as u64);
+        let all = subnets.concat();
+        let scopes = [subnets[0].clone(), subnets[1].clone(), all.clone(), all];
+        for (i, nodes) in scopes.into_iter().enumerate() {
+            let d = sim.install_driver(Churn {
+                nodes,
+                state: 0xD15 + i as u64,
+                fired: 0,
+            });
+            sim.schedule_driver_in(0.0, d);
         }
-        let mut shard = sim.shard_fork(&[0, 1]);
-        assert!(shard.run_until_or_escalate(t(80.0)));
-        sim.run_until(t(80.0));
-        assert_eq!(shard.stats(), sim.stats());
-        assert_eq!(shard.take_keyed_trace(), sim.take_keyed_trace());
-    }
+        sim.run_for(2000.0);
+        let stats = sim.stats();
+        let (trace, dropped) = sim.take_trace();
+        assert_eq!(dropped, 0);
 
-    /// Two subnets joined by a trunk, cut along the trunk: a *connected*
-    /// partition, so cross-domain actions are routable and must trip
-    /// escalation rather than compute with stale foreign state.
-    fn trunked_pair() -> (Topology, Vec<Vec<NodeId>>, Vec<u16>) {
-        let (mut topo, subnets, node_domain) = federated_pair();
-        let sw0 = topo.node_by_name("s0-sw").unwrap();
-        let sw1 = topo.node_by_name("s1-sw").unwrap();
-        topo.add_link_full(sw0, sw1, 50.0 * MBPS, 50.0 * MBPS, 2e-3);
-        (topo, subnets, node_domain)
-    }
-
-    #[test]
-    fn foreign_interaction_escalates_shard() {
-        let (topo, subnets, node_domain) = trunked_pair();
-        let mut sim = Sim::new(topo);
-        sim.set_partition(&node_domain);
-        install_subnet_churn(&mut sim, &subnets[0], 3);
-        install_subnet_churn(&mut sim, &subnets[1], 4);
-
-        // A cross-domain transfer invalidates the shard immediately.
-        let mut shard = sim.shard_fork(&[0]);
-        assert!(!shard.escalated());
-        shard.start_transfer_detached(subnets[0][0], subnets[1][0], 1e9);
-        assert!(shard.escalated());
-        assert!(!shard.run_until_or_escalate(t(10.0)));
-
-        // So does merely *reading* foreign state mid-run.
-        let mut shard = sim.shard_fork(&[0]);
-        let probe = subnets[1][1];
-        shard.schedule_in(5.0, move |s| {
-            let _ = s.load_avg(probe);
+        let times = |pick: fn(&TraceEvent) -> bool| -> std::collections::HashSet<SimTime> {
+            trace.iter().filter(|e| pick(e)).map(|e| e.at()).collect()
+        };
+        let fired = times(|e| {
+            matches!(
+                e,
+                TraceEvent::TaskStarted { .. } | TraceEvent::FlowStarted { .. }
+            )
         });
-        assert!(!shard.run_until_or_escalate(t(10.0)));
-        assert!(shard.escalated());
+        let host = times(|e| matches!(e, TraceEvent::TaskFinished { .. }));
+        let net = times(|e| matches!(e, TraceEvent::FlowFinished { .. }));
+        assert!(!fired.is_disjoint(&host), "no driver/host-wake tie");
+        assert!(!fired.is_disjoint(&net), "no driver/net-wake tie");
+        assert!(!host.is_disjoint(&net), "no host-wake/net-wake tie");
 
-        // Whole-network observations escalate too.
-        let shard = sim.shard_fork(&[0]);
-        let _ = shard.flow_count();
-        assert!(shard.escalated());
-
-        // Domain-internal work on the same cut runs clean.
-        let mut shard = sim.shard_fork(&[0]);
-        assert!(shard.run_until_or_escalate(t(10.0)));
-        assert!(shard.stats().events > 0);
+        assert_eq!(stats.events, 43_028);
+        assert_eq!(digest(&trace, stats), 0x1f08_cf6a_1c34_0e45);
     }
 
     #[test]

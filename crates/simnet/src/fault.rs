@@ -270,19 +270,6 @@ fn boundary_edges(topo: &Topology, group: &[NodeId]) -> Vec<EdgeId> {
 /// zero-fault parity guard relies on this). Scheduled times are
 /// relative to the simulator clock at installation.
 pub fn install_faults(sim: &mut Sim, plan: &FaultPlan) -> DriverId {
-    install_faults_impl(sim, None, plan)
-}
-
-/// [`install_faults`] with the driver *homed at a node*: its firings are
-/// sequenced in (and, under the parallel engine, executed by) that
-/// node's partition domain. The plan should only touch nodes and links
-/// of that domain, or the owning shard escalates. On an unpartitioned
-/// simulator this is bit-identical to [`install_faults`].
-pub fn install_faults_at(sim: &mut Sim, home: NodeId, plan: &FaultPlan) -> DriverId {
-    install_faults_impl(sim, Some(home), plan)
-}
-
-fn install_faults_impl(sim: &mut Sim, home: Option<NodeId>, plan: &FaultPlan) -> DriverId {
     let now = sim.now();
     let mut scheduled: Vec<(SimTime, FaultAction)> = plan
         .scheduled
@@ -325,10 +312,7 @@ fn install_faults_impl(sim: &mut Sim, home: Option<NodeId>, plan: &FaultPlan) ->
         flaps,
         stats: FaultStats::default(),
     };
-    let id = match home {
-        Some(node) => sim.install_driver_at(node, driver),
-        None => sim.install_driver(driver),
-    };
+    let id = sim.install_driver(driver);
     let next = sim.driver::<FaultDriver>(id).next_event();
     if next != SimTime::NEVER {
         sim.schedule_driver_in(next.seconds_since(now).max(0.0), id);
@@ -352,42 +336,6 @@ mod tests {
         assert_eq!(sim.stats(), SimStats::default());
         assert_eq!(sim.driver::<FaultDriver>(id).stats().total(), 0);
         assert!(sim.driver::<FaultDriver>(id).is_exhausted());
-    }
-
-    #[test]
-    fn homed_installation_is_bit_identical_on_unpartitioned_sim() {
-        let run = |homed: bool| {
-            let (topo, ids) = star(4, 100.0 * MBPS);
-            let edge = topo.neighbors(ids[1])[0].0;
-            let mut sim = Sim::new(topo);
-            sim.enable_trace(usize::MAX);
-            let plan = FaultPlan {
-                scheduled: vec![
-                    (5.0, FaultAction::CrashNode(ids[1])),
-                    (9.0, FaultAction::RebootNode(ids[1])),
-                ],
-                flaps: vec![Flap {
-                    target: FlapTarget::Link(edge),
-                    mean_up: 10.0,
-                    mean_down: 2.0,
-                }],
-                seed: 11,
-            };
-            let id = if homed {
-                install_faults_at(&mut sim, ids[0], &plan)
-            } else {
-                install_faults(&mut sim, &plan)
-            };
-            sim.start_transfer_detached(ids[0], ids[1], 1e10);
-            sim.start_compute_detached(ids[1], 1e6);
-            sim.run_until(SimTime::from_secs(60));
-            let stats = sim.driver::<FaultDriver>(id).stats();
-            (sim.stats(), sim.take_trace(), stats)
-        };
-        let plain = run(false);
-        let homed = run(true);
-        assert_eq!(plain, homed);
-        assert!(plain.2.total() > 0, "faults never fired");
     }
 
     #[test]

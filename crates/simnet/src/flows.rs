@@ -195,18 +195,8 @@ pub struct FlowTable {
     bits_anchor: Vec<SimTime>,
     /// Link↔flow incidence: slab indices of the flows crossing each slot.
     slot_flows: Vec<Vec<u32>>,
-    /// Lazy-deletion completion heaps, one per home domain (the top 16
-    /// bits of a [`FlowId`]): (finish, generation, slab index). An
-    /// unpartitioned table has exactly one heap, which reproduces the
-    /// historical single-heap behaviour bit-for-bit.
-    completions: Vec<BinaryHeap<Reverse<(SimTime, u64, u32)>>>,
-    /// Homes whose flows changed rate since the last
-    /// [`FlowTable::drain_touched_into`], deduplicated via
-    /// `touched_mark`. The engine reschedules exactly these homes' wake
-    /// events after a mutation, so a rate change in one domain never
-    /// silently moves another domain's completions.
-    touched: Vec<u16>,
-    touched_mark: Vec<bool>,
+    /// Lazy-deletion completion heap: (finish, generation, slab index).
+    completions: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
     last_update: SimTime,
     scratch: ReallocScratch,
 }
@@ -238,48 +228,9 @@ impl FlowTable {
             link_bits: vec![0.0; slots],
             bits_anchor: vec![SimTime::ZERO; slots],
             slot_flows: vec![Vec::new(); slots],
-            completions: vec![BinaryHeap::new()],
-            touched: Vec::new(),
-            touched_mark: vec![false],
+            completions: BinaryHeap::new(),
             last_update: SimTime::ZERO,
             scratch: ReallocScratch::default(),
-        }
-    }
-
-    /// Declares how many home domains flow ids may carry (the top 16
-    /// bits of a [`FlowId`]). Completion tracking becomes per-home so
-    /// each domain's wake events depend only on that domain's flows.
-    /// Must be called before any flow is added; defaults to 1
-    /// (unpartitioned).
-    pub fn set_num_homes(&mut self, n: u16) {
-        assert!(n >= 1, "at least one home domain");
-        assert!(
-            self.flows.is_empty(),
-            "set_num_homes requires an empty flow table"
-        );
-        self.completions = (0..n).map(|_| BinaryHeap::new()).collect();
-        self.touched_mark = vec![false; n as usize];
-    }
-
-    /// Number of home domains (1 when unpartitioned).
-    pub fn num_homes(&self) -> u16 {
-        self.completions.len() as u16
-    }
-
-    /// Home domain of a flow id: its top 16 bits.
-    #[inline]
-    fn home_of(id: FlowId) -> usize {
-        (id.0 >> 48) as usize
-    }
-
-    /// Drains the homes whose flows changed rate since the last drain
-    /// into `out` (cleared first), in unspecified order. The caller owns
-    /// rescheduling those homes' wake events.
-    pub fn drain_touched_into(&mut self, out: &mut Vec<u16>) {
-        out.clear();
-        for d in self.touched.drain(..) {
-            self.touched_mark[d as usize] = false;
-            out.push(d);
         }
     }
 
@@ -359,10 +310,6 @@ impl FlowTable {
     pub fn add_flow(&mut self, id: FlowId, path: &Path, bits: f64) {
         assert!(bits >= 0.0, "flow size must be non-negative");
         assert!(!path.is_empty(), "flows require src != dst");
-        debug_assert!(
-            Self::home_of(id) < self.completions.len(),
-            "flow id home exceeds set_num_homes"
-        );
         let now = self.last_update;
         let fi = match self.free.pop() {
             Some(fi) => fi,
@@ -414,11 +361,10 @@ impl FlowTable {
         // stays unqueued on purpose.)
         if self.engine == FlowEngine::Incremental {
             let f = &mut self.flows[fi as usize];
-            let home = Self::home_of(f.id);
             let eta = f.finish();
             if eta < f.queued {
                 f.queued = eta;
-                self.completions[home].push(Reverse((eta, f.gen, fi)));
+                self.completions.push(Reverse((eta, f.gen, fi)));
             }
         }
     }
@@ -492,28 +438,16 @@ impl FlowTable {
     /// Pops every flow whose predicted completion has arrived (id order),
     /// then reallocates once if any finished. Allocation-free after
     /// warm-up: `out` is cleared and refilled.
-    ///
-    /// Home-0 shorthand for [`FlowTable::take_finished_home_into`] —
-    /// complete on an unpartitioned table, where every flow lives in
-    /// home 0.
     pub fn take_finished_into(&mut self, out: &mut Vec<FlowId>) {
-        self.take_finished_home_into(0, out);
-    }
-
-    /// Pops every flow of `home` whose predicted completion has arrived
-    /// (id order), then reallocates once if any finished. Other homes'
-    /// flows are never touched directly, though the reallocation may
-    /// move their rates (reported via [`FlowTable::drain_touched_into`]).
-    pub fn take_finished_home_into(&mut self, home: u16, out: &mut Vec<FlowId>) {
         out.clear();
         let now = self.last_update;
         match self.engine {
             FlowEngine::Incremental => {
-                while let Some(&Reverse((t, gen, fi))) = self.completions[home as usize].peek() {
+                while let Some(&Reverse((t, gen, fi))) = self.completions.peek() {
                     if t > now {
                         break;
                     }
-                    self.completions[home as usize].pop();
+                    self.completions.pop();
                     let f = &self.flows[fi as usize];
                     if !f.live || out.contains(&f.id) {
                         continue;
@@ -524,24 +458,21 @@ impl FlowTable {
                     } else if t == f.queued {
                         // The designated lower-bound entry went stale (a
                         // later rate change moved the finish); re-queue at
-                        // the current prediction — into the flow's *own*
-                        // home heap, in case the slab slot was reused by a
-                        // flow homed elsewhere. When the new entry lands at
-                        // or before `now` the owning home's drain picks it
-                        // right back up.
+                        // the current prediction. When the new entry lands
+                        // at or before `now` this drain picks it right back
+                        // up.
                         let f = &mut self.flows[fi as usize];
                         let eta = f.finish();
                         f.queued = eta;
-                        let owner = Self::home_of(f.id);
                         if eta != SimTime::NEVER {
-                            self.completions[owner].push(Reverse((eta, f.gen, fi)));
+                            self.completions.push(Reverse((eta, f.gen, fi)));
                         }
                     }
                 }
             }
             FlowEngine::Reference => {
                 for f in &self.flows {
-                    if f.live && Self::home_of(f.id) == home as usize && f.finish() <= now {
+                    if f.live && f.finish() <= now {
                         out.push(f.id);
                     }
                 }
@@ -574,7 +505,7 @@ impl FlowTable {
     /// every flow starved at rate zero).
     ///
     /// This is the O(flows) reference scan; the engine wake path uses the
-    /// completion heaps via [`FlowTable::next_wake`].
+    /// completion heap via [`FlowTable::next_wake`].
     pub fn next_completion(&self) -> SimTime {
         let mut soonest = SimTime::NEVER;
         for f in &self.flows {
@@ -585,35 +516,15 @@ impl FlowTable {
         soonest
     }
 
-    /// [`FlowTable::next_completion`] restricted to flows homed in
-    /// `home`.
-    fn next_completion_home(&self, home: u16) -> SimTime {
-        let mut soonest = SimTime::NEVER;
-        for f in &self.flows {
-            if f.live && Self::home_of(f.id) == home as usize {
-                soonest = soonest.min(f.finish());
-            }
-        }
-        soonest
-    }
-
-    /// Earliest completion through the completion heap. Home-0 shorthand
-    /// for [`FlowTable::next_wake_home`] — complete on an unpartitioned
-    /// table.
+    /// Earliest completion through the completion heap: discards stale
+    /// entries (lazy deletion), then answers from the top in O(log heap).
+    /// Falls back to the linear scan for [`FlowEngine::Reference`].
     pub fn next_wake(&mut self) -> SimTime {
-        self.next_wake_home(0)
-    }
-
-    /// Earliest completion among flows homed in `home`, through that
-    /// home's completion heap: discards stale entries (lazy deletion),
-    /// then answers from the top in O(log heap). Falls back to the
-    /// linear scan for [`FlowEngine::Reference`].
-    pub fn next_wake_home(&mut self, home: u16) -> SimTime {
         if self.engine == FlowEngine::Reference {
-            return self.next_completion_home(home);
+            return self.next_completion();
         }
         let top = loop {
-            match self.completions[home as usize].peek() {
+            match self.completions.peek() {
                 None => break SimTime::NEVER,
                 Some(&Reverse((t, gen, fi))) => {
                     let f = &self.flows[fi as usize];
@@ -621,26 +532,19 @@ impl FlowTable {
                         break t;
                     }
                     let requeue = f.live && t == f.queued;
-                    self.completions[home as usize].pop();
+                    self.completions.pop();
                     if requeue {
-                        // Into the flow's own home heap — the slab slot may
-                        // have been reused by a flow homed elsewhere.
                         let f = &mut self.flows[fi as usize];
                         let eta = f.finish();
                         f.queued = eta;
-                        let owner = Self::home_of(f.id);
                         if eta != SimTime::NEVER {
-                            self.completions[owner].push(Reverse((eta, f.gen, fi)));
+                            self.completions.push(Reverse((eta, f.gen, fi)));
                         }
                     }
                 }
             }
         };
-        debug_assert_eq!(
-            top,
-            self.next_completion_home(home),
-            "completion heap diverged"
-        );
+        debug_assert_eq!(top, self.next_completion(), "completion heap diverged");
         top
     }
 
@@ -793,19 +697,11 @@ impl FlowTable {
             f.anchor = now;
             f.rate = rate;
             f.gen += 1;
-            // The flow's completion moved: its home domain must
-            // reschedule its wake event (drained by the engine via
-            // `drain_touched_into`).
-            let home = Self::home_of(f.id);
-            if !self.touched_mark[home] {
-                self.touched_mark[home] = true;
-                self.touched.push(home as u16);
-            }
             if self.engine == FlowEngine::Incremental {
                 let eta = f.finish();
                 if eta < f.queued {
                     f.queued = eta;
-                    self.completions[home].push(Reverse((eta, f.gen, fi)));
+                    self.completions.push(Reverse((eta, f.gen, fi)));
                 }
             }
         }

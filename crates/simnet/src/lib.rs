@@ -20,8 +20,9 @@
 //!   heap, and flow progress is evaluated closed-form on read — with the
 //!   paper-style full recompute kept as a selectable reference oracle
 //!   ([`FlowEngine`]).
-//! * **A deterministic event engine** ([`Sim`]): integer-nanosecond clock,
-//!   stable tie-breaking. One-off actions are closure events; recurring
+//! * **A deterministic event engine** ([`Sim`], the only one): events
+//!   dispatch on one thread in ([`EventKey`]) order — integer-nanosecond
+//!   time, then insertion sequence. One-off actions are closure events; recurring
 //!   processes (generators, collectors) are cloneable [`DriverLogic`]
 //!   state machines living *inside* the simulator, so a warmed-up run with
 //!   no closure pending can be [forked][Sim::fork] into independent
@@ -57,24 +58,20 @@
 //! ```
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 mod engine;
 mod fault;
 mod flows;
-mod gate;
 mod host;
-mod parallel;
 pub mod time;
 mod trace;
 
 pub use engine::{Callback, DriverId, DriverLogic, Sim, SimStats, DEFAULT_LOAD_AVG_TAU};
 pub use fault::{
-    install_faults, install_faults_at, FaultAction, FaultDriver, FaultPlan, FaultStats, Flap,
-    FlapTarget,
+    install_faults, FaultAction, FaultDriver, FaultPlan, FaultStats, Flap, FlapTarget,
 };
 pub use flows::{DirLink, FlowEngine, FlowId, FlowTable};
 pub use host::{Host, TaskId};
-pub use parallel::ParallelSim;
 pub use time::{EventKey, SimTime};
 pub use trace::TraceEvent;

@@ -22,9 +22,10 @@ impl SimTime {
     /// Far future; used as the "never" sentinel for next-completion times.
     pub const NEVER: SimTime = SimTime(u64::MAX);
 
-    /// Builds a timestamp from whole seconds.
+    /// Builds a timestamp from whole seconds, saturating to
+    /// [`SimTime::NEVER`] past the representable range.
     pub fn from_secs(s: u64) -> Self {
-        SimTime(s * NANOS_PER_SEC)
+        SimTime(s.saturating_mul(NANOS_PER_SEC))
     }
 
     /// Builds a timestamp from fractional seconds, rounding up so that a
@@ -90,29 +91,14 @@ impl fmt::Display for SimTime {
     }
 }
 
-/// Total dispatch order of simulator events: time first, then the owning
-/// *domain* (shard), then that domain's monotone sequence number.
-///
-/// The old event heap broke timestamp ties by a single global insertion
-/// counter — deterministic only as long as every piece of state was
-/// mutated in exactly the same program order, so permuting driver
-/// installation silently permuted same-time dispatch. Keying ties by
-/// `(domain, seq)` makes the order a property of the simulated system
-/// itself: events homed in one domain are sequenced by that domain's own
-/// counter, and domains are ordered by their stable partition index. An
-/// unpartitioned simulator homes everything in domain 0, where
-/// `(time, 0, seq)` reproduces the historical `(time, seq)` order
-/// bit-for-bit.
-///
-/// The derived lexicographic `Ord` on the field order below is the
-/// contract the parallel engine's trace merge relies on.
+/// Total dispatch order of simulator events: time first, then the
+/// engine's monotone insertion sequence number, so events scheduled for
+/// the same instant dispatch in the order they were scheduled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EventKey {
     /// Dispatch time.
     pub at: SimTime,
-    /// Partition domain the event is homed in (0 when unpartitioned).
-    pub domain: u16,
-    /// The domain's monotone event sequence number.
+    /// The engine's monotone event sequence number.
     pub seq: u64,
 }
 
@@ -141,19 +127,24 @@ mod tests {
     }
 
     #[test]
-    fn event_key_orders_time_then_domain_then_seq() {
-        let k = |at, domain, seq| EventKey {
+    fn whole_seconds_saturate_to_never() {
+        let max_whole = u64::MAX / NANOS_PER_SEC;
+        assert_eq!(SimTime::from_secs(max_whole).0, max_whole * NANOS_PER_SEC);
+        assert_eq!(SimTime::from_secs(max_whole + 1), SimTime::NEVER);
+        assert_eq!(SimTime::from_secs(u64::MAX), SimTime::NEVER);
+    }
+
+    #[test]
+    fn event_key_orders_time_then_seq() {
+        let k = |at, seq| EventKey {
             at: SimTime(at),
-            domain,
             seq,
         };
-        // Time dominates.
-        assert!(k(1, 9, 9) < k(2, 0, 0));
-        // At equal times, the lower domain dispatches first...
-        assert!(k(5, 0, 7) < k(5, 1, 0));
-        // ...and within a domain its own sequence decides.
-        assert!(k(5, 3, 1) < k(5, 3, 2));
-        assert_eq!(k(5, 3, 1), k(5, 3, 1));
+        // Time dominates...
+        assert!(k(1, 9) < k(2, 0));
+        // ...and at equal times the earlier-scheduled event goes first.
+        assert!(k(5, 1) < k(5, 2));
+        assert_eq!(k(5, 1), k(5, 1));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::flows::FlowId;
 use crate::host::TaskId;
-use crate::time::{EventKey, SimTime};
+use crate::time::SimTime;
 use nodesel_topology::{EdgeId, NodeId};
 
 /// One traced lifecycle event.
@@ -139,14 +139,9 @@ impl TraceEvent {
 }
 
 /// A bounded trace buffer (unbounded when `limit == usize::MAX`).
-///
-/// Entries carry the dispatch key of the engine event that emitted them,
-/// so traces recorded by independent shards can be merged back into the
-/// exact serial order (dispatch keys are totally ordered and each key
-/// belongs to exactly one shard).
 #[derive(Debug, Default, Clone)]
 pub(crate) struct Tracer {
-    events: Vec<(EventKey, TraceEvent)>,
+    events: Vec<TraceEvent>,
     limit: usize,
     dropped: u64,
 }
@@ -160,24 +155,15 @@ impl Tracer {
         }
     }
 
-    pub(crate) fn limit(&self) -> usize {
-        self.limit
-    }
-
-    pub(crate) fn record(&mut self, key: EventKey, e: TraceEvent) {
+    pub(crate) fn record(&mut self, e: TraceEvent) {
         if self.events.len() < self.limit {
-            self.events.push((key, e));
+            self.events.push(e);
         } else {
             self.dropped += 1;
         }
     }
 
     pub(crate) fn take(&mut self) -> (Vec<TraceEvent>, u64) {
-        let (keyed, dropped) = self.take_keyed();
-        (keyed.into_iter().map(|(_, e)| e).collect(), dropped)
-    }
-
-    pub(crate) fn take_keyed(&mut self) -> (Vec<(EventKey, TraceEvent)>, u64) {
         let dropped = self.dropped;
         self.dropped = 0;
         (std::mem::take(&mut self.events), dropped)
@@ -188,38 +174,24 @@ impl Tracer {
 mod tests {
     use super::*;
 
-    fn key(i: u64) -> EventKey {
-        EventKey {
-            at: SimTime(i),
-            domain: 0,
-            seq: i,
-        }
-    }
-
     #[test]
     fn tracer_respects_limit() {
         let mut t = Tracer::new(2);
         for i in 0..5u64 {
-            t.record(
-                key(i),
-                TraceEvent::FlowFinished {
-                    at: SimTime(i),
-                    id: FlowId(i),
-                },
-            );
+            t.record(TraceEvent::FlowFinished {
+                at: SimTime(i),
+                id: FlowId(i),
+            });
         }
         let (events, dropped) = t.take();
         assert_eq!(events.len(), 2);
         assert_eq!(dropped, 3);
         // After take, the buffer refills.
         let mut t2 = Tracer::new(2);
-        t2.record(
-            key(9),
-            TraceEvent::FlowFinished {
-                at: SimTime(9),
-                id: FlowId(9),
-            },
-        );
+        t2.record(TraceEvent::FlowFinished {
+            at: SimTime(9),
+            id: FlowId(9),
+        });
         assert_eq!(t2.take().0.len(), 1);
     }
 

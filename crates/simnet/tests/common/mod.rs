@@ -1,18 +1,13 @@
-// Each test binary compiles its own copy of this module and uses a
-// subset of it, so per-binary dead-code analysis is meaningless here.
-#![allow(dead_code)]
-
-//! Shared scaffolding for the parallel-vs-serial parity suites:
-//! federated topologies, domain-confined churn, and paired runs of the
-//! single-threaded oracle and the parallel engine over the same
-//! installed scenario.
+//! Scaffolding for the faulty-federation case of the flow-engine parity
+//! suite: a federated topology, subnet-confined churn with a per-subnet
+//! fault plan, and one traced run of it.
 
 use nodesel_simnet::{
-    install_faults_at, DriverId, DriverLogic, FaultAction, FaultPlan, Flap, FlapTarget, FlowEngine,
-    ParallelSim, Sim, SimStats, SimTime, TraceEvent,
+    install_faults, DriverId, DriverLogic, FaultAction, FaultPlan, Flap, FlapTarget, FlowEngine,
+    Sim, SimStats, SimTime, TraceEvent,
 };
 use nodesel_topology::units::MBPS;
-use nodesel_topology::{NodeId, ShardPlan, Topology};
+use nodesel_topology::{NodeId, Topology};
 
 /// Everything a run can observe: final clock, counters, full trace.
 pub type RunResult = (SimTime, SimStats, Vec<TraceEvent>);
@@ -39,14 +34,10 @@ impl DriverLogic for Churn {
     }
 }
 
-/// `k` 3-host star subnets; optionally chained hub-to-hub by trunks of
-/// the given latency (a connected federation with a real boundary).
-/// Nodes are added subnet by subnet — hub then hosts — so node `i`
-/// belongs to subnet `i / 4`.
-pub fn federation(k: usize, trunk_latency: Option<f64>) -> (Topology, Vec<Vec<NodeId>>) {
+/// `k` disconnected 3-host star subnets.
+pub fn federation(k: usize) -> (Topology, Vec<Vec<NodeId>>) {
     let mut topo = Topology::new();
     let mut subnets = Vec::new();
-    let mut hubs = Vec::new();
     for s in 0..k {
         let hub = topo.add_network_node(format!("s{s}-hub"));
         let mut hosts = Vec::new();
@@ -55,107 +46,52 @@ pub fn federation(k: usize, trunk_latency: Option<f64>) -> (Topology, Vec<Vec<No
             topo.add_link(hub, n, 100.0 * MBPS);
             hosts.push(n);
         }
-        hubs.push(hub);
         subnets.push(hosts);
-    }
-    if let Some(lat) = trunk_latency {
-        for w in hubs.windows(2) {
-            topo.add_link_full(w[0], w[1], 50.0 * MBPS, 50.0 * MBPS, lat);
-        }
     }
     (topo, subnets)
 }
 
-/// The per-subnet domain assignment matching [`federation`]'s node
-/// order, for trunked (connected) federations where component analysis
-/// would find a single domain.
-pub fn subnet_domains(topo: &Topology) -> Vec<u16> {
-    (0..topo.node_count()).map(|i| (i / 4) as u16).collect()
-}
-
-/// Installs per-subnet churn — and, when `faults` is set, a per-subnet
-/// fault plan (scheduled crash/reboot plus a stochastic node flap) —
-/// with every driver homed inside its own domain.
-pub fn install_scenario(sim: &mut Sim, subnets: &[Vec<NodeId>], faults: bool, seed: u64) {
+/// Installs per-subnet churn and a per-subnet fault plan (scheduled
+/// crash/reboot plus a stochastic node flap).
+fn install_scenario(sim: &mut Sim, subnets: &[Vec<NodeId>], seed: u64) {
     for (s, hosts) in subnets.iter().enumerate() {
-        let d = sim.install_driver_at(
-            hosts[0],
-            Churn {
-                nodes: hosts.clone(),
-                k: seed.wrapping_mul(31).wrapping_add(s as u64 * 1000),
+        let d = sim.install_driver(Churn {
+            nodes: hosts.clone(),
+            k: seed.wrapping_mul(31).wrapping_add(s as u64 * 1000),
+        });
+        sim.schedule_driver_in(0.01 * s as f64, d);
+        install_faults(
+            sim,
+            &FaultPlan {
+                scheduled: vec![
+                    (6.0 + s as f64 * 0.3, FaultAction::CrashNode(hosts[2])),
+                    (11.0 + s as f64 * 0.3, FaultAction::RebootNode(hosts[2])),
+                ],
+                flaps: vec![Flap {
+                    target: FlapTarget::Node(hosts[1]),
+                    mean_up: 9.0,
+                    mean_down: 1.5,
+                }],
+                seed: seed ^ ((s as u64) << 8),
             },
         );
-        sim.schedule_driver_in(0.01 * s as f64, d);
-        if faults {
-            install_faults_at(
-                sim,
-                hosts[0],
-                &FaultPlan {
-                    scheduled: vec![
-                        (6.0 + s as f64 * 0.3, FaultAction::CrashNode(hosts[2])),
-                        (11.0 + s as f64 * 0.3, FaultAction::RebootNode(hosts[2])),
-                    ],
-                    flaps: vec![Flap {
-                        target: FlapTarget::Node(hosts[1]),
-                        mean_up: 9.0,
-                        mean_down: 1.5,
-                    }],
-                    seed: seed ^ ((s as u64) << 8),
-                },
-            );
-        }
     }
 }
 
-fn build(
+/// Runs the faulty scenario to `horizon` seconds on the given flow
+/// engine.
+pub fn faulty_run(
     topo: &Topology,
-    plan: &ShardPlan,
     subnets: &[Vec<NodeId>],
-    faults: bool,
-    seed: u64,
-    engine: FlowEngine,
-) -> Sim {
-    let mut sim = Sim::with_flow_engine(topo.clone(), engine);
-    sim.set_partition(plan.node_domain());
-    sim.enable_trace(usize::MAX);
-    install_scenario(&mut sim, subnets, faults, seed);
-    sim
-}
-
-/// Runs the scenario on the single-threaded oracle.
-pub fn serial_run(
-    topo: &Topology,
-    plan: &ShardPlan,
-    subnets: &[Vec<NodeId>],
-    faults: bool,
     seed: u64,
     horizon: f64,
     engine: FlowEngine,
 ) -> RunResult {
-    let mut sim = build(topo, plan, subnets, faults, seed, engine);
+    let mut sim = Sim::with_flow_engine(topo.clone(), engine);
+    sim.enable_trace(usize::MAX);
+    install_scenario(&mut sim, subnets, seed);
     sim.run_until(SimTime::from_secs_f64(horizon));
     let (trace, dropped) = sim.take_trace();
     assert_eq!(dropped, 0);
     (sim.now(), sim.stats(), trace)
-}
-
-/// Runs the identical scenario on the parallel engine; returns the
-/// observables plus the fallback reason (None = genuinely sharded).
-#[allow(clippy::too_many_arguments)]
-pub fn parallel_run(
-    topo: &Topology,
-    plan: &ShardPlan,
-    subnets: &[Vec<NodeId>],
-    faults: bool,
-    seed: u64,
-    horizon: f64,
-    threads: usize,
-    engine: FlowEngine,
-) -> (RunResult, Option<&'static str>) {
-    let sim = build(topo, plan, subnets, faults, seed, engine);
-    let mut par = ParallelSim::new(sim, plan, threads);
-    par.run_until(SimTime::from_secs_f64(horizon));
-    let (trace, dropped) = par.take_trace();
-    assert_eq!(dropped, 0);
-    ((par.now(), par.stats(), trace), par.fallback())
 }

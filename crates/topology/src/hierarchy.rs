@@ -3,9 +3,9 @@
 //! The flat selection engines are near-linear, but "near-linear over
 //! 100 000 nodes" is still milliseconds per call and the quality scorer
 //! wants per-source BFS rows that are quadratic to precompute. A
-//! [`Hierarchy`] splits the graph into *domains* — the same partition
-//! unit [`crate::ShardPlan`] uses for the parallel simulator — and
-//! summarizes everything that crosses a domain boundary:
+//! [`Hierarchy`] splits the graph into *domains* — the partition a
+//! [`crate::ShardPlan`] describes — and summarizes everything that
+//! crosses a domain boundary:
 //!
 //! * each domain owns an extracted sub-[`Topology`] with local ids and a
 //!   mapping back to the global graph, so the flat engines can run

@@ -1,23 +1,16 @@
-//! Domain partitions for the sharded simulator.
+//! Domain partitions.
 //!
 //! A [`ShardPlan`] assigns every node of a [`Topology`] to a *domain* —
-//! the unit the parallel event engine runs on its own worker with its own
-//! event queue. Conservative synchronization between domains needs a
-//! *lookahead*: no event scheduled in one domain can affect another
-//! sooner than the minimum latency of the links crossing the partition,
-//! so workers may safely advance in lock-step windows of that width.
+//! the unit [`crate::Hierarchy`] extracts, summarizes and routes across.
 //!
-//! The natural partition for the federated topologies this repo benches
-//! is by connected component ([`ShardPlan::components`]): disconnected
-//! subnets exchange no events at all, the boundary is empty and the
-//! window width is unbounded. Arbitrary cuts come from
-//! [`ShardPlan::from_assignment`], which extracts the boundary links and
-//! derives the lookahead from their latencies — including the degenerate
-//! zero-latency boundary the engine must refuse to parallelize.
+//! The natural partition for disconnected federations is by connected
+//! component ([`ShardPlan::components`]): the boundary is empty.
+//! Arbitrary cuts come from [`ShardPlan::from_assignment`], which
+//! extracts the links crossing the cut.
 
 use crate::{EdgeId, NodeId, Topology, UnionFind};
 
-/// A partition of a topology's nodes into event-engine domains.
+/// A partition of a topology's nodes into domains.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardPlan {
     /// Domain of each node, indexed by [`NodeId::index`].
@@ -26,27 +19,12 @@ pub struct ShardPlan {
     num_domains: u16,
     /// Links whose endpoints live in different domains.
     boundary: Vec<EdgeId>,
-    /// Conservative window width in seconds: the minimum one-way latency
-    /// over the boundary links. `None` when the boundary is empty (fully
-    /// independent domains — windows may be arbitrarily wide).
-    lookahead_secs: Option<f64>,
 }
 
 impl ShardPlan {
-    /// The trivial plan: every node in domain 0, no boundary.
-    pub fn single(topo: &Topology) -> ShardPlan {
-        ShardPlan {
-            node_domain: vec![0; topo.node_count()],
-            num_domains: 1,
-            boundary: Vec::new(),
-            lookahead_secs: None,
-        }
-    }
-
     /// One domain per connected component, numbered in order of each
-    /// component's smallest node index (stable across runs). This is the
-    /// embarrassingly-parallel partition: no boundary links, unbounded
-    /// windows.
+    /// component's smallest node index (stable across runs). There are no
+    /// boundary links.
     pub fn components(topo: &Topology) -> ShardPlan {
         let n = topo.node_count();
         let mut uf = UnionFind::new(n);
@@ -71,13 +49,11 @@ impl ShardPlan {
             node_domain,
             num_domains: next.max(1),
             boundary: Vec::new(),
-            lookahead_secs: None,
         }
     }
 
-    /// A plan from an explicit node→domain assignment. Boundary links and
-    /// the lookahead (minimum boundary latency) are derived from the
-    /// topology. Panics if the assignment length does not match the node
+    /// A plan from an explicit node→domain assignment. Boundary links are
+    /// derived from the topology. Panics if the assignment length does not match the node
     /// count or a domain id leaves a gap (domains must be `0..k`).
     pub fn from_assignment(topo: &Topology, node_domain: &[u16]) -> ShardPlan {
         assert_eq!(
@@ -94,24 +70,17 @@ impl ShardPlan {
             seen.iter().all(|&s| s),
             "domain ids must be contiguous from 0"
         );
-        let mut boundary = Vec::new();
-        let mut lookahead = f64::INFINITY;
-        for e in topo.edge_ids() {
-            let l = topo.link(e);
-            if node_domain[l.a().index()] != node_domain[l.b().index()] {
-                lookahead = lookahead.min(l.latency());
-                boundary.push(e);
-            }
-        }
+        let boundary = topo
+            .edge_ids()
+            .filter(|&e| {
+                let l = topo.link(e);
+                node_domain[l.a().index()] != node_domain[l.b().index()]
+            })
+            .collect();
         ShardPlan {
             node_domain: node_domain.to_vec(),
             num_domains,
             boundary,
-            lookahead_secs: if lookahead.is_finite() {
-                Some(lookahead)
-            } else {
-                None
-            },
         }
     }
 
@@ -133,24 +102,6 @@ impl ShardPlan {
     /// Links crossing the partition, in edge-id order.
     pub fn boundary_links(&self) -> &[EdgeId] {
         &self.boundary
-    }
-
-    /// Conservative window width in seconds; `None` means the domains are
-    /// fully independent (empty boundary).
-    pub fn lookahead_secs(&self) -> Option<f64> {
-        self.lookahead_secs
-    }
-
-    /// True when there is nothing to parallelize: a single domain.
-    pub fn is_single(&self) -> bool {
-        self.num_domains == 1
-    }
-
-    /// True when conservative windows cannot make progress: a boundary
-    /// link with zero latency. The parallel engine must fall back to
-    /// serial execution rather than deadlock on zero-width windows.
-    pub fn zero_lookahead(&self) -> bool {
-        self.lookahead_secs.is_some_and(|l| l <= 0.0)
     }
 }
 
@@ -180,8 +131,6 @@ mod tests {
         let plan = ShardPlan::components(&topo);
         assert_eq!(plan.num_domains(), 2);
         assert!(plan.boundary_links().is_empty());
-        assert_eq!(plan.lookahead_secs(), None);
-        assert!(!plan.is_single());
         // Numbering follows smallest member index: nodes 0..4 are subnet
         // 0, nodes 4..8 subnet 1.
         assert_eq!(plan.domain_of(NodeId::from_index(0)), 0);
@@ -195,12 +144,11 @@ mod tests {
         let (topo, _) = star(5, 100.0 * MBPS);
         let plan = ShardPlan::components(&topo);
         assert_eq!(plan.num_domains(), 1);
-        assert!(plan.is_single());
-        assert_eq!(plan, ShardPlan::single(&topo));
+        assert!(plan.node_domain().iter().all(|&d| d == 0));
     }
 
     #[test]
-    fn from_assignment_extracts_boundary_and_lookahead() {
+    fn from_assignment_extracts_boundary() {
         let (mut topo, hubs) = two_subnets();
         let trunk = topo.add_link_full(hubs[0], hubs[1], 50.0 * MBPS, 50.0 * MBPS, 2e-3);
         let plan = ShardPlan::components(&topo);
@@ -211,20 +159,6 @@ mod tests {
         let plan = ShardPlan::from_assignment(&topo, &cut);
         assert_eq!(plan.num_domains(), 2);
         assert_eq!(plan.boundary_links(), &[trunk]);
-        assert_eq!(plan.lookahead_secs(), Some(2e-3));
-        assert!(!plan.zero_lookahead());
-    }
-
-    #[test]
-    fn zero_latency_boundary_is_flagged() {
-        let (mut topo, hubs) = two_subnets();
-        topo.add_link(hubs[0], hubs[1], 50.0 * MBPS); // latency 0
-        let cut: Vec<u16> = (0..topo.node_count())
-            .map(|i| if i < 4 { 0 } else { 1 })
-            .collect();
-        let plan = ShardPlan::from_assignment(&topo, &cut);
-        assert!(plan.zero_lookahead());
-        assert_eq!(plan.lookahead_secs(), Some(0.0));
     }
 
     #[test]
