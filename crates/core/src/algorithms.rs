@@ -45,6 +45,7 @@
 
 use crate::quality::{evaluate_in, Quality};
 use crate::request::{Constraints, GreedyPolicy, Objective, SelectionRequest};
+use crate::selector::{LinkFootprint, SelectionFootprint};
 use crate::weights::Weights;
 use crate::SelectError;
 use nodesel_topology::{
@@ -65,85 +66,18 @@ pub struct Selection {
     pub iterations: usize,
 }
 
-/// One component of a [`max_compute`] run, as replayed by
-/// [`crate::selector::MaxComputeSelector`]: everything but the node
-/// metrics is static between epochs that share a structure.
-#[derive(Debug, Clone)]
-pub(crate) struct ComputeComp {
-    /// Eligible compute members, ascending.
-    pub(crate) computes: Vec<NodeId>,
-    /// Whether `pick_from` succeeded here at prime time. With an empty
-    /// `required` set and no CPU floor this is `computes.len() >= m`,
-    /// which node-metric churn cannot change.
-    pub(crate) viable: bool,
-    /// Minimum effective CPU of the prime-time pick (`-∞` when not
-    /// viable); the selector re-derives it per epoch.
-    pub(crate) min_cpu: f64,
-}
-
-/// Replayable structure of one [`max_compute`] run: the candidate
-/// components in [`GraphView::components`] order.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ComputeHistory {
-    pub(crate) comps: Vec<ComputeComp>,
-}
-
-/// Replayable outcome of one [`max_bandwidth`] run. The stop component —
-/// the last deletion-loop state that still hosts the application — is
-/// determined by edge order and eligibility alone, so node-metric churn
-/// only re-ranks nodes *within* it.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct BandwidthHistory {
-    /// Eligible compute members of the stop component, ascending.
-    pub(crate) computes: Vec<NodeId>,
-    /// Deletion rounds the reference loop would have executed.
-    pub(crate) iterations: usize,
-    /// Whether any component could host the application.
-    pub(crate) satisfiable: bool,
-}
-
-/// One component lifetime inside a [`balanced`] deletion run: a fixed
-/// membership over a contiguous round interval, with the component's
-/// minimum fractional bandwidth stepping through `events` as its own
-/// edges are deleted. Under node-metric-only churn the whole deletion
-/// history — memberships, events, round numbers — is invariant; only the
-/// CPU term of each state's score moves.
-#[derive(Debug, Clone)]
-pub(crate) struct HistState {
-    /// Eligible compute members, ascending.
-    pub(crate) computes: Vec<NodeId>,
-    /// Smallest member id (compute or network): the reference loop's
-    /// within-round tie-breaker.
-    pub(crate) first_node: NodeId,
-    /// Whether this state can host the application (static, as above).
-    pub(crate) viable: bool,
-    /// Minimum effective CPU of the prime-time pick (`-∞` when not
-    /// viable); the selector re-derives it per epoch.
-    pub(crate) min_cpu: f64,
-    /// `(first round in effect, min fractional bandwidth)` steps,
-    /// chronological; the first entry is the state's birth round.
-    pub(crate) events: Vec<(usize, f64)>,
-    /// Last round this state was evaluated in (its split round, or the
-    /// final round of the run).
-    pub(crate) last_round: usize,
-}
-
-/// Replayable structure of one [`balanced`] run under
-/// [`GreedyPolicy::Sweep`].
-#[derive(Debug, Clone, Default)]
-pub(crate) struct BalancedHistory {
-    pub(crate) states: Vec<HistState>,
-    pub(crate) iterations: usize,
-    pub(crate) satisfiable: bool,
-}
+/// An answer with the entities its bits depend on, as the engine that
+/// produced it knows them; [`crate::selector::FlatSelector`] widens the
+/// footprint for requests whose eligibility moves with the metrics.
+pub(crate) type Solved = Result<(Selection, SelectionFootprint), SelectError>;
 
 /// Shared validated state for one selection run, generic over the metric
 /// representation: the annotated [`Topology`] for the classic one-shot
 /// path, or a versioned [`nodesel_topology::NetSnapshot`] for the
-/// incremental [`crate::selector`] engines. Both instantiate the same
-/// monomorphic arithmetic (see [`NetMetrics`]), so results are
-/// byte-identical across representations by construction.
-pub(crate) struct Context<'a, T: NetMetrics> {
+/// [`crate::selector`] path. Both instantiate the same monomorphic
+/// arithmetic (see [`NetMetrics`]), so results are byte-identical across
+/// representations by construction.
+struct Context<'a, T: NetMetrics> {
     net: &'a T,
     m: usize,
     required: Vec<NodeId>,
@@ -152,7 +86,7 @@ pub(crate) struct Context<'a, T: NetMetrics> {
 }
 
 impl<'a, T: NetMetrics> Context<'a, T> {
-    pub(crate) fn new(
+    fn new(
         net: &'a T,
         m: usize,
         constraints: &Constraints,
@@ -252,9 +186,9 @@ impl<'a, T: NetMetrics> Context<'a, T> {
         self.pick_from_parts(&comp.nodes, &comp.compute_nodes)
     }
 
-    /// [`Context::pick_from`] over raw (sorted) member lists, so the
-    /// incremental engines can evaluate components they track themselves.
-    pub(crate) fn pick_from_parts(
+    /// [`Context::pick_from`] over raw (sorted) member lists, so the fast
+    /// engines can evaluate components they track themselves.
+    fn pick_from_parts(
         &self,
         nodes: &[NodeId],
         compute_nodes: &[NodeId],
@@ -294,24 +228,38 @@ impl<'a, T: NetMetrics> Context<'a, T> {
         Some((chosen, min_cpu))
     }
 
-    /// Number of eligible compute nodes in a component.
-    fn eligible_count(&self, comp: &Component) -> usize {
-        comp.compute_nodes
+    /// The eligible members of a component's compute nodes, ascending.
+    fn eligible_of<'s>(&'s self, compute_nodes: &'s [NodeId]) -> impl Iterator<Item = NodeId> + 's {
+        compute_nodes
             .iter()
+            .copied()
             .filter(|n| self.eligible[n.index()])
-            .count()
     }
 
-    pub(crate) fn finish(
+    /// Number of eligible compute nodes in a component.
+    fn eligible_count(&self, comp: &Component) -> usize {
+        self.eligible_of(&comp.compute_nodes).count()
+    }
+
+    /// The BFS rows the quality evaluation of `nodes` walks: quality only
+    /// queries routes among the chosen nodes, so just those rows instead
+    /// of the all-pairs table.
+    fn routes_among(&self, nodes: &[NodeId]) -> RouteTable {
+        RouteTable::build_for_sources(self.net.structure(), nodes.iter().copied())
+    }
+
+    fn finish(&self, nodes: Vec<NodeId>, weights: Weights, iterations: usize) -> Selection {
+        self.finish_on(&self.routes_among(&nodes), nodes, weights, iterations)
+    }
+
+    fn finish_on(
         &self,
+        table: &RouteTable,
         nodes: Vec<NodeId>,
         weights: Weights,
         iterations: usize,
     ) -> Selection {
-        // Quality only queries routes among the chosen nodes, so build just
-        // those BFS rows instead of the all-pairs table.
-        let table = RouteTable::build_for_sources(self.net.structure(), nodes.iter().copied());
-        let quality = evaluate_in(self.net, &table, &nodes, self.reference_bw);
+        let quality = evaluate_in(self.net, table, &nodes, self.reference_bw);
         Selection {
             score: quality.score(weights),
             nodes,
@@ -329,35 +277,23 @@ pub fn max_compute(
     m: usize,
     constraints: &Constraints,
 ) -> Result<Selection, SelectError> {
-    max_compute_in(topo, m, constraints, None)
+    max_compute_in(topo, m, constraints).map(|(sel, _)| sel)
 }
 
-/// [`max_compute`] over any [`NetMetrics`] representation, optionally
-/// recording the component structure the incremental selector replays.
-pub(crate) fn max_compute_in<T: NetMetrics>(
-    net: &T,
-    m: usize,
-    constraints: &Constraints,
-    mut history: Option<&mut ComputeHistory>,
-) -> Result<Selection, SelectError> {
+/// [`max_compute`] over any [`NetMetrics`] representation.
+///
+/// Footprint: the components are fixed by the graph (and the bandwidth
+/// floor), so only the members of the ones that can host the application
+/// can re-rank the answer; link metrics reach the bits through the floor's
+/// view filter (if any) or the final quality walk over the answer's routes.
+fn max_compute_in<T: NetMetrics>(net: &T, m: usize, constraints: &Constraints) -> Solved {
     let ctx = Context::new(net, m, constraints, None)?;
     let view = ctx.base_view(constraints);
     let mut best: Option<(Vec<NodeId>, f64)> = None;
+    let mut read = Vec::new();
     for comp in view.components() {
-        let cand = ctx.pick_from(&comp);
-        if let Some(h) = history.as_deref_mut() {
-            h.comps.push(ComputeComp {
-                computes: comp
-                    .compute_nodes
-                    .iter()
-                    .copied()
-                    .filter(|&n| ctx.eligible[n.index()])
-                    .collect(),
-                viable: cand.is_some(),
-                min_cpu: cand.as_ref().map_or(f64::NEG_INFINITY, |(_, c)| *c),
-            });
-        }
-        if let Some((nodes, min_cpu)) = cand {
+        if let Some((nodes, min_cpu)) = ctx.pick_from(&comp) {
+            read.extend(ctx.eligible_of(&comp.compute_nodes));
             match &best {
                 Some((_, b)) if *b >= min_cpu => {}
                 _ => best = Some((nodes, min_cpu)),
@@ -365,7 +301,13 @@ pub(crate) fn max_compute_in<T: NetMetrics>(
         }
     }
     let (nodes, _) = best.ok_or(SelectError::Unsatisfiable)?;
-    Ok(ctx.finish(nodes, Weights::EQUAL, 1))
+    let table = ctx.routes_among(&nodes);
+    let links = match constraints.min_bandwidth {
+        Some(_) => LinkFootprint::All,
+        None => LinkFootprint::routes_among(net.structure(), &table, &nodes),
+    };
+    let selection = ctx.finish_on(&table, nodes, Weights::EQUAL, 1);
+    Ok((selection, SelectionFootprint::reading(read, links)))
 }
 
 /// Maximize available communication capacity (Figure 2): maximize the
@@ -385,30 +327,27 @@ pub fn max_bandwidth(
     m: usize,
     constraints: &Constraints,
 ) -> Result<Selection, SelectError> {
-    max_bandwidth_in(topo, m, constraints, None)
+    max_bandwidth_in(topo, m, constraints).map(|(sel, _)| sel)
 }
 
-/// [`max_bandwidth`] over any [`NetMetrics`] representation, optionally
-/// recording the stop component the incremental selector replays.
-pub(crate) fn max_bandwidth_in<T: NetMetrics>(
-    net: &T,
-    m: usize,
-    constraints: &Constraints,
-    history: Option<&mut BandwidthHistory>,
-) -> Result<Selection, SelectError> {
+/// [`max_bandwidth`] over any [`NetMetrics`] representation.
+///
+/// Footprint: the stop component is determined by the edge order and
+/// eligibility alone, so node churn only re-ranks the pick inside it,
+/// while any link churn can reorder the whole deletion sequence.
+fn max_bandwidth_in<T: NetMetrics>(net: &T, m: usize, constraints: &Constraints) -> Solved {
     let ctx = Context::new(net, m, constraints, None)?;
     if !ctx.required.is_empty() {
-        debug_assert!(
-            history.is_none(),
-            "history recording requires an empty required set"
-        );
-        return max_bandwidth_loop(&ctx, constraints);
+        // The loop's stopping rule follows the pinned nodes' component,
+        // which moves with the metrics.
+        return max_bandwidth_loop(&ctx, constraints)
+            .map(|sel| (sel, SelectionFootprint::conservative()));
     }
-    let fast = max_bandwidth_fast(&ctx, constraints, history);
+    let fast = max_bandwidth_fast(&ctx, constraints);
     #[cfg(debug_assertions)]
     debug_assert_eq!(
-        fast,
-        max_bandwidth_loop(&ctx, constraints),
+        fast.as_ref().map(|(sel, _)| sel),
+        max_bandwidth_loop(&ctx, constraints).as_ref(),
         "max_bandwidth fast path diverged from the Figure 2 deletion loop"
     );
     fast
@@ -463,11 +402,7 @@ fn max_bandwidth_loop<T: NetMetrics>(
 /// (deleting edges in ascending order and adding them in descending order
 /// walk the same chain of graphs), so the returned `Selection` — including
 /// its `iterations` count — is byte-identical to the reference's.
-fn max_bandwidth_fast<T: NetMetrics>(
-    ctx: &Context<T>,
-    constraints: &Constraints,
-    mut history: Option<&mut BandwidthHistory>,
-) -> Result<Selection, SelectError> {
+fn max_bandwidth_fast<T: NetMetrics>(ctx: &Context<T>, constraints: &Constraints) -> Solved {
     let topo = ctx.net.structure();
     let view = ctx.base_view(constraints);
     // Deletion order: ascending (bw, id), matching `min_live_edge_by`'s
@@ -484,12 +419,10 @@ fn max_bandwidth_fast<T: NetMetrics>(
             .map(NodeId::from_index)
             .find(|n| ctx.eligible[n.index()])
             .expect("Context guarantees an eligible node");
-        if let Some(h) = history {
-            h.computes = vec![node];
-            h.iterations = live + 1;
-            h.satisfiable = true;
-        }
-        return Ok(ctx.finish(vec![node], Weights::EQUAL, live + 1));
+        return Ok((
+            ctx.finish(vec![node], Weights::EQUAL, live + 1),
+            SelectionFootprint::reading(vec![node], LinkFootprint::All),
+        ));
     }
     let mut uf = UnionFind::new(topo.node_count());
     for n in topo.node_ids() {
@@ -507,9 +440,6 @@ fn max_bandwidth_fast<T: NetMetrics>(
             }
         }
     }
-    if let Some(h) = history.as_deref_mut() {
-        h.satisfiable = stop.is_some();
-    }
     // Never reaching `m` while adding edges means even the full graph has
     // no qualifying component: round one of the reference loop fails.
     let (root, added) = stop.ok_or(SelectError::Unsatisfiable)?;
@@ -523,20 +453,16 @@ fn max_bandwidth_fast<T: NetMetrics>(
             }
         }
     }
-    if let Some(h) = history {
-        h.computes = compute_nodes
-            .iter()
-            .copied()
-            .filter(|&n| ctx.eligible[n.index()])
-            .collect();
-        h.iterations = live - added + 2;
-    }
     let (chosen, _) = ctx
         .pick_from_parts(&nodes, &compute_nodes)
         .expect("stop component holds at least m eligible nodes");
+    let read = ctx.eligible_of(&compute_nodes).collect();
     // The reference runs one round per deleted edge plus the failing round:
     // `live - added` deletions succeed before the stop state is destroyed.
-    Ok(ctx.finish(chosen, Weights::EQUAL, live - added + 2))
+    Ok((
+        ctx.finish(chosen, Weights::EQUAL, live - added + 2),
+        SelectionFootprint::reading(read, LinkFootprint::All),
+    ))
 }
 
 /// Balanced computation/communication optimization (Figure 3): maximize
@@ -564,35 +490,32 @@ pub fn balanced(
     reference_bandwidth: Option<f64>,
     policy: GreedyPolicy,
 ) -> Result<Selection, SelectError> {
-    balanced_in(
-        topo,
-        m,
-        weights,
-        constraints,
-        reference_bandwidth,
-        policy,
-        None,
-    )
+    balanced_in(topo, m, weights, constraints, reference_bandwidth, policy).map(|(sel, _)| sel)
 }
 
-/// [`balanced`] over any [`NetMetrics`] representation, optionally
-/// recording the full deletion history the incremental selector replays.
-pub(crate) fn balanced_in<T: NetMetrics>(
+/// [`balanced`] over any [`NetMetrics`] representation.
+///
+/// Footprint: every state of the deletion history is a subset of a
+/// component of the starting view that can host the application, and each
+/// competes in the sweep, so any of those members' CPU can move the
+/// winner; the history itself reads every edge's fraction.
+fn balanced_in<T: NetMetrics>(
     net: &T,
     m: usize,
     weights: Weights,
     constraints: &Constraints,
     reference_bandwidth: Option<f64>,
     policy: GreedyPolicy,
-    history: Option<&mut BalancedHistory>,
-) -> Result<Selection, SelectError> {
-    assert!(weights.validate(), "invalid priority weights");
+) -> Solved {
+    if !weights.validate() {
+        return Err(SelectError::InvalidWeights);
+    }
     let ctx = Context::new(net, m, constraints, reference_bandwidth)?;
-    let fast = balanced_fast(&ctx, weights, constraints, policy, history);
+    let fast = balanced_fast(&ctx, weights, constraints, policy);
     #[cfg(debug_assertions)]
     debug_assert_eq!(
-        fast,
-        balanced_loop(&ctx, weights, constraints, policy),
+        fast.as_ref().map(|(sel, _)| sel),
+        balanced_loop(&ctx, weights, constraints, policy).as_ref(),
         "balanced fast path diverged from the Figure 3 deletion loop"
     );
     fast
@@ -609,7 +532,9 @@ pub fn balanced_reference(
     reference_bandwidth: Option<f64>,
     policy: GreedyPolicy,
 ) -> Result<Selection, SelectError> {
-    assert!(weights.validate(), "invalid priority weights");
+    if !weights.validate() {
+        return Err(SelectError::InvalidWeights);
+    }
     let ctx = Context::new(topo, m, constraints, reference_bandwidth)?;
     balanced_loop(&ctx, weights, constraints, policy)
 }
@@ -705,33 +630,6 @@ impl CompState {
             self.score = (min_cpu / weights.compute).min(min_frac / weights.comm);
         }
     }
-
-    /// The component's current minimum fractional bandwidth — the value
-    /// [`CompState::rescore`] folds into the score, recorded verbatim into
-    /// [`HistState::events`].
-    fn min_frac<T: NetMetrics>(&self, ctx: &Context<T>) -> f64 {
-        match self.edges.last() {
-            Some(&e) => ctx.edge_fraction(e),
-            None => 1.0,
-        }
-    }
-
-    /// The [`HistState`] snapshot of this component as of `round`.
-    fn record<T: NetMetrics>(&self, ctx: &Context<T>, round: usize) -> HistState {
-        HistState {
-            computes: self
-                .compute_nodes
-                .iter()
-                .copied()
-                .filter(|&n| ctx.eligible[n.index()])
-                .collect(),
-            first_node: self.nodes[0],
-            viable: self.cand.is_some(),
-            min_cpu: self.cand.as_ref().map_or(f64::NEG_INFINITY, |(_, c)| *c),
-            events: vec![(round, self.min_frac(ctx))],
-            last_round: 0,
-        }
-    }
 }
 
 /// The incremental Figure 3 engine.
@@ -747,8 +645,7 @@ fn balanced_fast<T: NetMetrics>(
     weights: Weights,
     constraints: &Constraints,
     policy: GreedyPolicy,
-    mut history: Option<&mut BalancedHistory>,
-) -> Result<Selection, SelectError> {
+) -> Solved {
     let topo = ctx.net.structure();
     let mut view = ctx.base_view(constraints);
     // Global deletion order: ascending (fraction, id), exactly the sequence
@@ -761,9 +658,7 @@ fn balanced_fast<T: NetMetrics>(
     });
     let mut edge_comp = vec![u32::MAX; topo.link_count()];
     let mut comps: Vec<CompState> = Vec::new();
-    // Maps a live slot to its current state's index in the history (slots
-    // are reused across splits, history states are not).
-    let mut slot_rec: Vec<usize> = Vec::new();
+    let mut read = Vec::new();
     for comp in view.components() {
         let mut edges = comp.edges;
         edges.sort_unstable_by(|&x, &y| {
@@ -783,9 +678,8 @@ fn balanced_fast<T: NetMetrics>(
             score: 0.0,
         };
         state.rescore(ctx, weights);
-        if let Some(h) = history.as_deref_mut() {
-            slot_rec.push(h.states.len());
-            h.states.push(state.record(ctx, 1));
+        if state.cand.is_some() {
+            read.extend(ctx.eligible_of(&state.compute_nodes));
         }
         comps.push(state);
     }
@@ -842,11 +736,6 @@ fn balanced_fast<T: NetMetrics>(
         if view.last_flood_contains(link.b()) {
             // Still connected: only the cached minimum fraction changed.
             comps[slot].rescore(ctx, weights);
-            if let Some(h) = history.as_deref_mut() {
-                h.states[slot_rec[slot]]
-                    .events
-                    .push((iterations + 1, comps[slot].min_frac(ctx)));
-            }
             continue;
         }
         // Split: the flooded side moves to a fresh slot, the remainder
@@ -883,37 +772,35 @@ fn balanced_fast<T: NetMetrics>(
             score: 0.0,
         };
         side.rescore(ctx, weights);
-        if let Some(h) = history.as_deref_mut() {
-            // The pre-split state was last evaluated this round; both
-            // halves are fresh states born next round.
-            h.states[slot_rec[slot]].last_round = iterations;
-            slot_rec[slot] = h.states.len();
-            h.states.push(comps[slot].record(ctx, iterations + 1));
-            slot_rec.push(h.states.len());
-            h.states.push(side.record(ctx, iterations + 1));
-        }
         comps.push(side);
     }
-    if let Some(h) = history {
-        h.iterations = iterations;
-        h.satisfiable = best.is_some();
-        for s in &mut h.states {
-            if s.last_round == 0 {
-                s.last_round = iterations;
-            }
-        }
-    }
     let (_, nodes) = best.ok_or(SelectError::Unsatisfiable)?;
-    Ok(ctx.finish(nodes, weights, iterations))
+    Ok((
+        ctx.finish(nodes, weights, iterations),
+        SelectionFootprint::reading(read, LinkFootprint::All),
+    ))
 }
 
 /// Dispatches a [`SelectionRequest`] to the right algorithm.
 pub fn select(topo: &Topology, request: &SelectionRequest) -> Result<Selection, SelectError> {
+    select_in(topo, request)
+}
+
+/// [`select`] over any [`NetMetrics`] representation.
+pub(crate) fn select_in<T: NetMetrics>(
+    net: &T,
+    request: &SelectionRequest,
+) -> Result<Selection, SelectError> {
+    solve_in(net, request).map(|(sel, _)| sel)
+}
+
+/// [`select_in`], keeping the footprint the solve produced.
+pub(crate) fn solve_in<T: NetMetrics>(net: &T, request: &SelectionRequest) -> Solved {
     match request.objective {
-        Objective::Compute => max_compute(topo, request.count, &request.constraints),
-        Objective::Communication => max_bandwidth(topo, request.count, &request.constraints),
-        Objective::Balanced(weights) => balanced(
-            topo,
+        Objective::Compute => max_compute_in(net, request.count, &request.constraints),
+        Objective::Communication => max_bandwidth_in(net, request.count, &request.constraints),
+        Objective::Balanced(weights) => balanced_in(
+            net,
             request.count,
             weights,
             &request.constraints,

@@ -191,7 +191,9 @@ pub fn select_groups(
     topo: &Topology,
     request: &GroupedRequest,
 ) -> Result<GroupedSelection, SelectError> {
-    assert!(request.weights.validate(), "invalid priority weights");
+    if !request.weights.validate() {
+        return Err(SelectError::InvalidWeights);
+    }
     if request.groups.is_empty() || request.total_count() == 0 {
         return Err(SelectError::ZeroCount);
     }

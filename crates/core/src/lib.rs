@@ -38,7 +38,7 @@
 //! penalizes candidates with aging data, and
 //! [`Constraints::max_staleness`] excludes them outright. The
 //! [`supervisor`] module layers a re-selection policy (failure-triggered
-//! refresh, hysteresis, exponential backoff) on top for long-running
+//! re-selection, hysteresis, exponential backoff) on top for long-running
 //! applications on faulty networks.
 //!
 //! # Ground truth
@@ -58,10 +58,10 @@
 //! parallelizes the subset search, with
 //! [`exhaustive_select_reference`] as the unpruned baseline.
 //!
-//! For a stream of measurement epochs, the [`selector`] module offers
-//! persistent [`Selector`]s whose `refresh` replays the recorded solve
-//! skeleton against a [`nodesel_topology::NetDelta`] instead of
-//! re-solving from scratch, bit-identical to a fresh solve.
+//! For a stream of measurement epochs, every request is one fresh solve;
+//! the [`selector`] module's [`Selector`]s also report the
+//! [`SelectionFootprint`] that solve read, so a cache can keep an answer
+//! across every [`nodesel_topology::NetDelta`] that misses it.
 //!
 //! # Example
 //!
@@ -109,10 +109,7 @@ pub use groups::{select_groups, GroupSpec, GroupedRequest, GroupedSelection};
 pub use latency::{pairwise_latency, select_within_latency};
 pub use quality::{evaluate, evaluate_in, PairwiseCache, Quality};
 pub use request::{Constraints, GreedyPolicy, Objective, SelectionRequest};
-pub use selector::{
-    selector_for, BalancedSelector, LinkFootprint, MaxBandwidthSelector, MaxComputeSelector,
-    SelectionFootprint, Selector,
-};
+pub use selector::{selector_for, FlatSelector, LinkFootprint, SelectionFootprint, Selector};
 pub use sizing::{select_node_count, LooselySynchronousModel, PerformanceModel, SizedSelection};
 pub use spec::{select_for_spec, AppSpec, CommPattern, SpecSelection};
 pub use supervisor::{Supervisor, SupervisorCheck, SupervisorPolicy, SupervisorVerdict};
@@ -144,6 +141,9 @@ pub enum SelectError {
     /// Enough nodes exist, but no connected component satisfies all
     /// constraints simultaneously.
     Unsatisfiable,
+    /// The balanced objective's priority weights are not both positive
+    /// and finite (see [`Weights::validate`]).
+    InvalidWeights,
     /// The measurement data behind the request is too old to answer a
     /// bandwidth-sensitive question honestly. Produced by service layers
     /// running a degraded-mode policy (see `nodesel-service`); [`select`]
@@ -171,6 +171,9 @@ impl core::fmt::Display for SelectError {
             ),
             SelectError::Unsatisfiable => {
                 write!(f, "no connected node set satisfies the constraints")
+            }
+            SelectError::InvalidWeights => {
+                write!(f, "priority weights must be positive and finite")
             }
             SelectError::DataTooStale => {
                 write!(

@@ -12,18 +12,16 @@
 //! when the improvement clears a hysteresis threshold (migration is not
 //! free, so marginal gains should not trigger it).
 //!
-//! A periodic advisor re-runs this every measurement epoch against a
-//! nearly unchanged network. [`Advisor`] is the persistent form: it keeps
-//! a [`Selector`] primed on the discounted snapshot stream (own footprint
-//! applied as a [`NetDelta`] via [`discount_delta`], preserving structural
-//! sharing) so each epoch costs an incremental `refresh` instead of a
-//! from-scratch solve.
+//! A periodic advisor re-runs this every measurement epoch. [`Advisor`]
+//! is the snapshot-world form: the same procedure over a [`NetSnapshot`],
+//! with the own footprint applied as a [`NetDelta`] via [`discount_delta`]
+//! (preserving structural sharing instead of cloning a topology).
 
-use crate::quality::{evaluate, evaluate_in, Quality};
+use crate::algorithms::select_in;
+use crate::quality::{evaluate_in, Quality};
 use crate::request::SelectionRequest;
-use crate::selector::{selector_for, Selector};
 use crate::weights::Weights;
-use crate::{select, Objective, SelectError, Selection};
+use crate::{Objective, SelectError, Selection};
 use nodesel_topology::{
     Direction, EdgeId, NetDelta, NetMetrics, NetSnapshot, NodeId, RouteTable, Topology,
 };
@@ -144,11 +142,6 @@ pub fn advise(
     improvement_threshold: f64,
 ) -> Result<MigrationAdvice, SelectError> {
     assert!(improvement_threshold >= 0.0);
-    assert_eq!(
-        current.len(),
-        request.count,
-        "request count must match the current placement size"
-    );
     // An empty footprint would clone the whole snapshot only to change
     // nothing; borrow it instead (periodic advisors often poll with no
     // attributed traffic).
@@ -159,16 +152,32 @@ pub fn advise(
         storage = discount_own_usage(snapshot, own);
         &storage
     };
-    let routes = discounted.routes();
-    let current_quality = evaluate(discounted, &routes, current, request.reference_bandwidth);
+    advise_on(discounted, current, request, improvement_threshold)
+}
+
+/// [`advise`] on measurements that already exclude the application's own
+/// footprint: a fresh solve, scored against the `current` placement.
+fn advise_on<T: NetMetrics>(
+    discounted: &T,
+    current: &[NodeId],
+    request: &SelectionRequest,
+    improvement_threshold: f64,
+) -> Result<MigrationAdvice, SelectError> {
+    assert_eq!(
+        current.len(),
+        request.count,
+        "request count must match the current placement size"
+    );
+    let best = select_in(discounted, request)?;
+    let table = RouteTable::build_for_sources(discounted.structure(), current.iter().copied());
+    let current_quality = evaluate_in(discounted, &table, current, request.reference_bandwidth);
     let weights = match request.objective {
         Objective::Balanced(w) => w,
         _ => Weights::EQUAL,
     };
     let current_score = current_quality.score(weights);
-    let best = select(discounted, request)?;
-    let recommended = best.score > current_score * (1.0 + improvement_threshold)
-        && best.nodes != current.to_vec();
+    let recommended =
+        best.score > current_score * (1.0 + improvement_threshold) && best.nodes != current;
     Ok(MigrationAdvice {
         current_quality,
         current_score,
@@ -177,19 +186,12 @@ pub fn advise(
     })
 }
 
-/// A persistent migration advisor over a stream of snapshot epochs.
-///
-/// Functionally identical to calling [`advise`] per epoch, but the
-/// underlying selection is served by a [`Selector`] kept primed on the
-/// discounted snapshots: epochs whose churn leaves the solve skeleton
-/// intact cost a cheap replay instead of a full re-solve.
+/// A migration advisor over a stream of snapshot epochs: [`advise`] per
+/// epoch for one request and hysteresis threshold, stateless between
+/// epochs ("the solution procedure can be applied directly").
 pub struct Advisor {
     request: SelectionRequest,
     improvement_threshold: f64,
-    selector: Box<dyn Selector>,
-    /// The discounted snapshot the selector last saw, diffed against to
-    /// produce the refresh delta.
-    seen: Option<NetSnapshot>,
 }
 
 impl Advisor {
@@ -197,66 +199,34 @@ impl Advisor {
     /// [`advise`]).
     pub fn new(request: SelectionRequest, improvement_threshold: f64) -> Advisor {
         assert!(improvement_threshold >= 0.0);
-        let selector = selector_for(request.objective);
         Advisor {
             request,
             improvement_threshold,
-            selector,
-            seen: None,
         }
     }
 
-    /// One epoch of [`advise`]: discounts `own` from `snapshot`, refreshes
-    /// the persistent selector, and scores the `current` placement.
+    /// One epoch of [`advise`]: discounts `own` from `snapshot`, solves
+    /// the request afresh, and scores the `current` placement.
     pub fn advise(
-        &mut self,
+        &self,
         snapshot: &NetSnapshot,
         current: &[NodeId],
         own: &OwnUsage,
     ) -> Result<MigrationAdvice, SelectError> {
-        assert_eq!(
-            current.len(),
-            self.request.count,
-            "request count must match the current placement size"
-        );
         let discount = discount_delta(snapshot, own);
+        let storage;
         let discounted = if discount.is_empty() {
-            snapshot.clone()
+            snapshot
         } else {
-            snapshot.apply(&discount)
+            storage = snapshot.apply(&discount);
+            &storage
         };
-        let best = match &self.seen {
-            Some(prev) if prev.same_structure(&discounted) => {
-                let delta = discounted.diff(prev);
-                self.selector.refresh(&discounted, &delta)
-            }
-            _ => self.selector.select(&discounted, &self.request),
-        };
-        // Record what the selector saw even when selection failed: the
-        // next epoch's delta must be relative to this one.
-        self.seen = Some(discounted.clone());
-        let best = best?;
-        let table =
-            RouteTable::build_for_sources(discounted.structure_arc(), current.iter().copied());
-        let current_quality = evaluate_in(
-            &discounted,
-            &table,
+        advise_on(
+            discounted,
             current,
-            self.request.reference_bandwidth,
-        );
-        let weights = match self.request.objective {
-            Objective::Balanced(w) => w,
-            _ => Weights::EQUAL,
-        };
-        let current_score = current_quality.score(weights);
-        let recommended = best.score > current_score * (1.0 + self.improvement_threshold)
-            && best.nodes != current;
-        Ok(MigrationAdvice {
-            current_quality,
-            current_score,
-            best,
-            recommended,
-        })
+            &self.request,
+            self.improvement_threshold,
+        )
     }
 }
 
@@ -294,28 +264,36 @@ mod tests {
     }
 
     #[test]
-    fn advisor_tracks_epochs_incrementally() {
+    fn advisor_matches_oneshot_advice_on_every_epoch() {
         let (mut topo, ids) = star(4, 100.0 * MBPS);
         topo.set_load_avg(ids[0], 1.0);
         topo.set_load_avg(ids[1], 1.0);
         let own = OwnUsage::one_process_per_node(&[ids[0], ids[1]]);
         let snap = NetSnapshot::capture(Arc::new(topo));
         let req = SelectionRequest::balanced(2);
-        let mut advisor = Advisor::new(req.clone(), 0.25);
-        let first = advisor.advise(&snap, &[ids[0], ids[1]], &own).unwrap();
-        assert!(!first.recommended);
-        // Three competing jobs pile onto the first node.
-        let churn = NetDelta {
-            nodes: vec![(ids[0], 4.0)],
+        let placed = [ids[0], ids[1]];
+        let advisor = Advisor::new(req.clone(), 0.25);
+        // Three competing jobs pile onto the first node, then leave.
+        let churn = |load| NetDelta {
+            nodes: vec![(ids[0], load)],
             ..NetDelta::default()
         };
-        let next = snap.apply(&churn);
-        let second = advisor.advise(&next, &[ids[0], ids[1]], &own).unwrap();
-        let oneshot = advise(&next.to_topology(), &[ids[0], ids[1]], &own, &req, 0.25).unwrap();
-        assert!(second.recommended);
-        assert_eq!(second.best, oneshot.best);
-        assert_eq!(second.current_score, oneshot.current_score);
-        assert_eq!(second.vacated(&[ids[0], ids[1]]), vec![ids[0]]);
+        let busy = snap.apply(&churn(4.0));
+        let calm = busy.apply(&churn(1.0));
+        let mut recommended = Vec::new();
+        for epoch in [&snap, &busy, &calm] {
+            let advice = advisor.advise(epoch, &placed, &own).unwrap();
+            let oneshot = advise(&epoch.to_topology(), &placed, &own, &req, 0.25).unwrap();
+            assert_eq!(advice.best, oneshot.best);
+            assert_eq!(advice.current_quality, oneshot.current_quality);
+            assert_eq!(advice.current_score, oneshot.current_score);
+            assert_eq!(advice.recommended, oneshot.recommended);
+            if advice.recommended {
+                assert_eq!(advice.vacated(&placed), vec![ids[0]]);
+            }
+            recommended.push(advice.recommended);
+        }
+        assert_eq!(recommended, [false, true, false]);
     }
 
     #[test]

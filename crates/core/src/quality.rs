@@ -55,7 +55,7 @@ pub fn evaluate(
 /// [`evaluate`] over any annotated-metric representation — the measured
 /// [`Topology`] itself or a versioned
 /// [`NetSnapshot`](nodesel_topology::NetSnapshot) — so the one-shot and
-/// incremental selection paths score candidates with the same monomorphic
+/// snapshot selection paths score candidates with the same monomorphic
 /// arithmetic. `table` must hold a BFS row for every node in `nodes`.
 pub fn evaluate_in<T: NetMetrics>(
     net: &T,

@@ -1,100 +1,70 @@
-//! Persistent selectors: incremental re-selection across snapshot epochs.
+//! The selector seam: one solve per request, and the footprint it read.
 //!
-//! The one-shot entry points ([`crate::select`] and friends) treat every
-//! call as a fresh problem. A long-lived service re-selecting against a
-//! stream of [`NetSnapshot`] epochs mostly sees *metric* churn — load
-//! averages and link utilizations move, the structure does not — and the
-//! deletion-loop skeleton of the paper's algorithms is invariant under
-//! most of that churn. A [`Selector`] exploits this: `select` solves from
-//! scratch and records the replayable structure of the run, `refresh`
-//! re-derives the answer from that record plus a [`NetDelta`], falling
-//! back to a full re-solve whenever the delta could bend the skeleton.
+//! The paper re-applies its selection procedure as is when conditions
+//! change (§3.3 "Dynamic migration": "the solution procedure can be
+//! applied directly"), and so does this crate: a [`Selector`] solves a
+//! request from scratch on the [`NetSnapshot`] it is handed. What a
+//! long-lived service gains from the seam is the [`SelectionFootprint`]
+//! the solve reports — the entities the answer's bits depend on — so an
+//! epoch cache can keep the answer across every [`NetDelta`] that misses
+//! them and re-solve only when one lands.
 //!
-//! # What is invariant under which churn
+//! # What an answer reads
 //!
-//! * [`MaxComputeSelector`] — candidate components are fixed by the graph
-//!   (and the bandwidth floor, which reads link metrics): node churn only
-//!   re-ranks CPUs within components, link churn re-scores the answer.
-//! * [`MaxBandwidthSelector`] — the Figure 2 stop component is determined
-//!   by the edge order (link metrics) and eligibility alone, so node
-//!   churn only re-ranks the pick inside the cached stop component.
-//! * [`BalancedSelector`] — the Figure 3 deletion history (edge order,
-//!   component splits, round numbers, per-state fractional-bandwidth
-//!   steps) reads only link metrics; node churn moves just the CPU term
-//!   of each historical state's score, so the sweep is replayed with
-//!   cheap float folds instead of re-run.
+//! * Compute — the components of the starting view are fixed by the
+//!   graph (and the bandwidth floor, which reads link metrics): node
+//!   churn only re-ranks CPUs within the components that can host the
+//!   application, link churn re-scores the answer over its routes.
+//! * Communication — the Figure 2 stop component is determined by the
+//!   edge order (link metrics) and eligibility alone, so node churn only
+//!   re-ranks the pick inside it.
+//! * Balanced — the Figure 3 deletion history reads only link metrics;
+//!   node churn moves the CPU term of its states, all of which lie inside
+//!   the starting view's hosting components.
 //!
-//! # Fallback to a full re-solve
+//! # When the footprint is conservative
 //!
-//! `refresh` re-primes (bit-identical to a fresh `select` by
-//! construction) when the snapshot's structure `Arc` changed, when the
-//! delta touches link metrics the cached skeleton depends on, when the
-//! delta carries any availability or staleness transition (dead links
-//! leave the starting view and dead or too-stale nodes leave the
-//! eligible set, so the skeleton itself moves), or when the request
-//! itself makes the skeleton metric-dependent: a `required` set
-//! or a `min_cpu` floor (eligibility then moves with the metrics), the
-//! [`GreedyPolicy::Faithful`] stopping rule (score-dependent), or a
-//! non-finite/non-positive reference bandwidth.
+//! Health transitions (availability, staleness) always invalidate: dead
+//! links leave the starting view and dead or too-stale nodes leave the
+//! eligible set. Beyond that, a request reports
+//! [`SelectionFootprint::conservative`] when it makes the skeleton itself
+//! metric-dependent: a `required` set or a `min_cpu` floor (eligibility
+//! then moves with the metrics), the [`GreedyPolicy::Faithful`] stopping
+//! rule (score-dependent), or a non-finite/non-positive reference
+//! bandwidth.
 //!
-//! Debug builds assert every `refresh` result byte-identical to a fresh
-//! one-shot solve on the same snapshot; `tests/selector_refresh_parity.rs`
-//! does the same over random topologies and churn in release builds.
+//! `tests/footprint_parity.rs` pins every footprint to a naive statement
+//! of these definitions and checks the soundness contract over random
+//! topologies.
 
-use crate::algorithms::{
-    balanced_in, max_bandwidth_in, max_compute_in, BalancedHistory, BandwidthHistory,
-    ComputeHistory, Context, HistState, Selection,
-};
-use crate::request::{Constraints, GreedyPolicy, Objective, SelectionRequest};
-use crate::weights::Weights;
+use crate::algorithms::{solve_in, Selection};
+use crate::request::{GreedyPolicy, Objective, SelectionRequest};
 use crate::SelectError;
 use nodesel_topology::{
     EdgeId, NetDelta, NetSnapshot, NodeId, ResourceClaim, RouteTable, Topology,
 };
-use std::sync::Arc;
 
-/// A persistent selection engine for one request across snapshot epochs.
+/// A selection engine over snapshot epochs.
 ///
-/// Obtain one from [`selector_for`] (or construct the concrete type
-/// matching the request's [`Objective`] directly), call
-/// [`Selector::select`] once, then [`Selector::refresh`] per epoch.
+/// Obtain the flat one from [`selector_for`]; [`crate::TwoLevelSelector`]
+/// is the hierarchical one.
 ///
-/// Selectors are `Send`: the placement service parks them inside ledger
-/// entries (one supervisor per admitted job) that outlive any single
-/// thread's borrow. They are *not* required to be `Sync` — a selector is
-/// a mutable solver, always driven behind exclusive access.
+/// Selectors are `Send` so a service may hold one behind a lock that
+/// outlives any single thread's borrow. They are *not* required to be
+/// `Sync` — a selector is always driven behind exclusive access.
 pub trait Selector: Send {
-    /// Solves `request` from scratch on `snap` and primes the incremental
-    /// caches. May be called again at any time (e.g. for a new request).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the request's objective does not match the selector's
-    /// algorithm.
+    /// Solves `request` from scratch on `snap`.
     fn select(
         &mut self,
         snap: &NetSnapshot,
         request: &SelectionRequest,
     ) -> Result<Selection, SelectError>;
 
-    /// Re-solves the primed request on `snap`, where `delta` lists every
-    /// annotation that changed since the snapshot `refresh` (or `select`)
-    /// last saw. The result is bit-identical to a fresh
-    /// [`Selector::select`] on `snap`; a delta that omits a changed
-    /// entry breaks that contract.
-    ///
-    /// # Panics
-    ///
-    /// Panics when called before [`Selector::select`].
-    fn refresh(&mut self, snap: &NetSnapshot, delta: &NetDelta) -> Result<Selection, SelectError>;
-
     /// The entities the last [`Selector::select`] answer depends on: a
     /// [`NetDelta`] disjoint from this footprint provably leaves a fresh
     /// solve on the patched snapshot bit-identical, so a cache may keep
     /// the answer across the epoch. The default is fully conservative
-    /// (everything invalidates); implementors derive a tight footprint
-    /// from their replay history. Unprimed selectors and requests the
-    /// incremental path rejects report [`SelectionFootprint::conservative`].
+    /// (everything invalidates).
     fn footprint(&self) -> SelectionFootprint {
         SelectionFootprint::conservative()
     }
@@ -112,6 +82,30 @@ pub enum LinkFootprint {
     Edges(Vec<EdgeId>),
 }
 
+impl LinkFootprint {
+    /// The edges the quality evaluation of `nodes` walks: every hop on
+    /// their pairwise routes in `table` (which must hold a row for each).
+    /// [`LinkFootprint::All`] when some pair is unroutable.
+    pub(crate) fn routes_among(
+        structure: &Topology,
+        table: &RouteTable,
+        nodes: &[NodeId],
+    ) -> LinkFootprint {
+        let mut edges = Vec::new();
+        for (i, &a) in nodes.iter().enumerate() {
+            for &b in &nodes[i + 1..] {
+                let Ok(path) = table.resolve(structure, a, b) else {
+                    return LinkFootprint::All;
+                };
+                edges.extend(path.hops.iter().map(|&(e, _)| e));
+            }
+        }
+        edges.sort_unstable();
+        edges.dedup();
+        LinkFootprint::Edges(edges)
+    }
+}
+
 /// The set of entities a cached selection's bits depend on.
 ///
 /// Produced by [`Selector::footprint`] after a successful `select`;
@@ -122,9 +116,9 @@ pub enum LinkFootprint {
 /// (including reproduced errors).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SelectionFootprint {
-    /// False when the footprint is a conservative stand-in (unprimed, or
-    /// the request's skeleton moves with the metrics): every non-empty
-    /// delta then invalidates.
+    /// False when the footprint is a conservative stand-in (nothing
+    /// solved yet, or the request's skeleton moves with the metrics):
+    /// every non-empty delta then invalidates.
     pub replayable: bool,
     /// Nodes whose load average the answer reads (sorted, deduplicated).
     pub nodes: Vec<NodeId>,
@@ -142,6 +136,18 @@ impl SelectionFootprint {
         }
     }
 
+    /// The footprint of an answer that reads the load of `nodes` (any
+    /// order) and the metrics of `links`.
+    pub(crate) fn reading(mut nodes: Vec<NodeId>, links: LinkFootprint) -> Self {
+        nodes.sort_unstable();
+        nodes.dedup();
+        SelectionFootprint {
+            replayable: true,
+            nodes,
+            links,
+        }
+    }
+
     /// The footprint of an admitted placement's [`ResourceClaim`]: the
     /// nodes and route edges whose annotations the claim perturbs. This
     /// is the bridge from PR 8's footprint-intersection machinery to the
@@ -150,17 +156,13 @@ impl SelectionFootprint {
     /// decides which cached answers a ledger change can move, with
     /// magnitudes carried by the claim itself.
     pub fn of_claim(claim: &ResourceClaim) -> Self {
-        let mut nodes: Vec<NodeId> = claim.nodes.iter().map(|&(n, _)| n).collect();
-        nodes.sort_unstable();
-        nodes.dedup();
         let mut edges: Vec<EdgeId> = claim.links.iter().map(|&(e, _, _)| e).collect();
         edges.sort_unstable();
         edges.dedup();
-        SelectionFootprint {
-            replayable: true,
-            nodes,
-            links: LinkFootprint::Edges(edges),
-        }
+        Self::reading(
+            claim.nodes.iter().map(|&(n, _)| n).collect(),
+            LinkFootprint::Edges(edges),
+        )
     }
 
     /// True when `delta` may change the answer's bits.
@@ -192,569 +194,84 @@ impl SelectionFootprint {
     }
 }
 
-/// The edges the final quality evaluation reads for `nodes`: every hop on
-/// the pairwise routes of the same [`RouteTable`] that
-/// [`Context::finish`] builds. `None` when some pair is unroutable (the
-/// caller falls back to [`LinkFootprint::All`]).
-fn route_edges(structure: &Topology, nodes: &[NodeId]) -> Option<Vec<EdgeId>> {
-    let table = RouteTable::build_for_sources(structure, nodes.iter().copied());
-    let mut edges = Vec::new();
-    for (i, &a) in nodes.iter().enumerate() {
-        for &b in nodes.iter().skip(i + 1) {
-            let path = table.resolve(structure, a, b).ok()?;
-            edges.extend(path.hops.iter().map(|&(e, _)| e));
-        }
-    }
-    edges.sort_unstable();
-    edges.dedup();
-    Some(edges)
+/// The selector solving requests of `objective` on the whole snapshot.
+/// (One engine dispatches on the request it is handed; the argument
+/// remains for the call sites that name the objective they solve.)
+pub fn selector_for(_objective: Objective) -> Box<dyn Selector> {
+    Box::new(FlatSelector::new())
 }
 
-/// Sorted, deduplicated union of the node lists yielded by `lists`.
-fn sorted_union<'a>(lists: impl Iterator<Item = &'a [NodeId]>) -> Vec<NodeId> {
-    let mut nodes: Vec<NodeId> = lists.flat_map(|l| l.iter().copied()).collect();
-    nodes.sort_unstable();
-    nodes.dedup();
-    nodes
-}
-
-/// The selector implementing the algorithm of `objective`.
-pub fn selector_for(objective: Objective) -> Box<dyn Selector> {
-    match objective {
-        Objective::Compute => Box::new(MaxComputeSelector::new()),
-        Objective::Communication => Box::new(MaxBandwidthSelector::new()),
-        Objective::Balanced(_) => Box::new(BalancedSelector::new()),
-    }
-}
-
-/// True when eligibility cannot move with the metrics: no pinned nodes,
-/// no CPU floor. The common precondition of every incremental path.
-fn metrics_static_eligibility(constraints: &Constraints) -> bool {
-    constraints.required.is_empty() && constraints.min_cpu.is_none()
-}
-
-const REFRESH_BEFORE_SELECT: &str = "Selector::refresh called before Selector::select";
-
-/// Incremental [`crate::max_compute`]: see the module docs.
-#[derive(Debug, Default)]
-pub struct MaxComputeSelector {
-    primed: Option<ComputePrimed>,
-}
-
+/// The flat [`Selector`]: [`crate::select`] on a snapshot, remembering
+/// the footprint of the solve that just ran.
 #[derive(Debug)]
-struct ComputePrimed {
-    request: SelectionRequest,
-    structure: Arc<Topology>,
-    incremental: bool,
-    history: ComputeHistory,
-    /// Current minimum effective CPU of each component's pick.
-    min_cpu: Vec<f64>,
-    /// Node index → component index (`u32::MAX` for non-members).
-    comp_of: Vec<u32>,
-    last: Result<Selection, SelectError>,
+pub struct FlatSelector {
+    footprint: SelectionFootprint,
 }
 
-impl MaxComputeSelector {
-    /// An unprimed selector.
+impl FlatSelector {
+    /// A selector that has not solved anything yet (its footprint is
+    /// [`SelectionFootprint::conservative`]).
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn prime(snap: &NetSnapshot, request: &SelectionRequest) -> ComputePrimed {
-        assert!(
-            matches!(request.objective, Objective::Compute),
-            "MaxComputeSelector drives Objective::Compute requests"
-        );
-        let incremental = metrics_static_eligibility(&request.constraints);
-        let mut history = ComputeHistory::default();
-        let last = max_compute_in(
-            snap,
-            request.count,
-            &request.constraints,
-            incremental.then_some(&mut history),
-        );
-        let mut comp_of = vec![u32::MAX; snap.structure_arc().node_count()];
-        let mut min_cpu = Vec::with_capacity(history.comps.len());
-        for (i, comp) in history.comps.iter().enumerate() {
-            for &n in &comp.computes {
-                comp_of[n.index()] = i as u32;
-            }
-            min_cpu.push(comp.min_cpu);
+        FlatSelector {
+            footprint: SelectionFootprint::conservative(),
         }
-        ComputePrimed {
-            request: request.clone(),
-            structure: Arc::clone(snap.structure_arc()),
-            incremental,
-            history,
-            min_cpu,
-            comp_of,
-            last,
-        }
-    }
-
-    fn replay(
-        p: &mut ComputePrimed,
-        snap: &NetSnapshot,
-        delta: &NetDelta,
-    ) -> Result<Selection, SelectError> {
-        let ctx = Context::new(snap, p.request.count, &p.request.constraints, None)?;
-        let mut touched: Vec<u32> = delta
-            .nodes
-            .iter()
-            .map(|&(n, _)| p.comp_of[n.index()])
-            .filter(|&c| c != u32::MAX)
-            .collect();
-        touched.sort_unstable();
-        touched.dedup();
-        for &c in &touched {
-            let comp = &p.history.comps[c as usize];
-            if !comp.viable {
-                continue;
-            }
-            let (_, mc) = ctx
-                .pick_from_parts(&[], &comp.computes)
-                .expect("component viability is static under metric churn");
-            p.min_cpu[c as usize] = mc;
-        }
-        // The same keep-first-on-ties scan as the one-shot path, over the
-        // cached components in their original order.
-        let mut best: Option<(usize, f64)> = None;
-        for (i, comp) in p.history.comps.iter().enumerate() {
-            if !comp.viable {
-                continue;
-            }
-            let mc = p.min_cpu[i];
-            match &best {
-                Some((_, b)) if *b >= mc => {}
-                _ => best = Some((i, mc)),
-            }
-        }
-        let (win, _) = best.ok_or(SelectError::Unsatisfiable)?;
-        let (chosen, _) = ctx
-            .pick_from_parts(&[], &p.history.comps[win].computes)
-            .expect("winning component is viable");
-        Ok(ctx.finish(chosen, Weights::EQUAL, 1))
     }
 }
 
-impl Selector for MaxComputeSelector {
+impl Default for FlatSelector {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// True when a fixed entity set decides the answer: eligibility cannot
+/// move with the metrics (no pinned nodes, no CPU floor), and for the
+/// balanced sweep neither can the stopping rule or the edge order's
+/// meaning.
+fn skeleton_is_static(request: &SelectionRequest) -> bool {
+    let constraints = &request.constraints;
+    let sweep_ok = match request.objective {
+        Objective::Balanced(_) => {
+            request.policy == GreedyPolicy::Sweep
+                && request
+                    .reference_bandwidth
+                    .is_none_or(|r| r.is_finite() && r > 0.0)
+        }
+        _ => true,
+    };
+    constraints.required.is_empty() && constraints.min_cpu.is_none() && sweep_ok
+}
+
+impl Selector for FlatSelector {
     fn select(
         &mut self,
         snap: &NetSnapshot,
         request: &SelectionRequest,
     ) -> Result<Selection, SelectError> {
-        let primed = Self::prime(snap, request);
-        let result = primed.last.clone();
-        self.primed = Some(primed);
-        result
-    }
-
-    fn refresh(&mut self, snap: &NetSnapshot, delta: &NetDelta) -> Result<Selection, SelectError> {
-        let p = self.primed.as_mut().expect(REFRESH_BEFORE_SELECT);
-        // Link churn leaves the components and picks alone unless a
-        // bandwidth floor filters the starting view by link metrics.
-        // Health transitions always re-solve: they move eligibility and
-        // the starting view.
-        let fallback = !Arc::ptr_eq(&p.structure, snap.structure_arc())
-            || !p.incremental
-            || delta.has_health_changes()
-            || (delta.link_changes() > 0 && p.request.constraints.min_bandwidth.is_some());
-        if fallback {
-            let request = p.request.clone();
-            return self.select(snap, &request);
-        }
-        if delta.is_empty() {
-            return p.last.clone();
-        }
-        let result = Self::replay(p, snap, delta);
-        #[cfg(debug_assertions)]
-        debug_assert_eq!(
-            result,
-            max_compute_in(snap, p.request.count, &p.request.constraints, None),
-            "MaxComputeSelector::refresh diverged from a fresh solve"
-        );
-        p.last = result.clone();
-        result
-    }
-
-    fn footprint(&self) -> SelectionFootprint {
-        let Some(p) = self.primed.as_ref() else {
-            return SelectionFootprint::conservative();
+        let (result, footprint) = match solve_in(snap, request) {
+            Ok((selection, footprint)) => (Ok(selection), footprint),
+            // Nothing can host the application and only a health
+            // transition can change that: a reproduced error reads no
+            // load, and link metrics only through a bandwidth floor or a
+            // deletion order.
+            Err(e) => {
+                let links = match (request.objective, request.constraints.min_bandwidth) {
+                    (Objective::Compute, None) => LinkFootprint::Edges(Vec::new()),
+                    _ => LinkFootprint::All,
+                };
+                (Err(e), SelectionFootprint::reading(Vec::new(), links))
+            }
         };
-        if !p.incremental {
-            return SelectionFootprint::conservative();
-        }
-        // The components are structure-only, so only the viable ones'
-        // members can re-rank the answer. Link metrics reach the bits
-        // through the bandwidth floor's view filter (if any) or the final
-        // quality walk over the chosen set's pairwise routes.
-        let nodes = sorted_union(
-            p.history
-                .comps
-                .iter()
-                .filter(|c| c.viable)
-                .map(|c| c.computes.as_slice()),
-        );
-        let links = if p.request.constraints.min_bandwidth.is_some() {
-            LinkFootprint::All
+        self.footprint = if skeleton_is_static(request) {
+            footprint
         } else {
-            match &p.last {
-                Ok(sel) => match route_edges(&p.structure, &sel.nodes) {
-                    Some(edges) => LinkFootprint::Edges(edges),
-                    None => LinkFootprint::All,
-                },
-                // A reproduced error reads no link metrics.
-                Err(_) => LinkFootprint::Edges(Vec::new()),
-            }
+            SelectionFootprint::conservative()
         };
-        SelectionFootprint {
-            replayable: true,
-            nodes,
-            links,
-        }
-    }
-}
-
-/// Incremental [`crate::max_bandwidth`]: see the module docs.
-#[derive(Debug, Default)]
-pub struct MaxBandwidthSelector {
-    primed: Option<BandwidthPrimed>,
-}
-
-#[derive(Debug)]
-struct BandwidthPrimed {
-    request: SelectionRequest,
-    structure: Arc<Topology>,
-    incremental: bool,
-    history: BandwidthHistory,
-    last: Result<Selection, SelectError>,
-}
-
-impl MaxBandwidthSelector {
-    /// An unprimed selector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn prime(snap: &NetSnapshot, request: &SelectionRequest) -> BandwidthPrimed {
-        assert!(
-            matches!(request.objective, Objective::Communication),
-            "MaxBandwidthSelector drives Objective::Communication requests"
-        );
-        let incremental = metrics_static_eligibility(&request.constraints);
-        let mut history = BandwidthHistory::default();
-        let last = max_bandwidth_in(
-            snap,
-            request.count,
-            &request.constraints,
-            incremental.then_some(&mut history),
-        );
-        BandwidthPrimed {
-            request: request.clone(),
-            structure: Arc::clone(snap.structure_arc()),
-            incremental,
-            history,
-            last,
-        }
-    }
-
-    fn replay(p: &BandwidthPrimed, snap: &NetSnapshot) -> Result<Selection, SelectError> {
-        let ctx = Context::new(snap, p.request.count, &p.request.constraints, None)?;
-        if !p.history.satisfiable {
-            return Err(SelectError::Unsatisfiable);
-        }
-        let chosen = if p.request.count == 1 {
-            // The fully-deleted graph's answer is the highest-id eligible
-            // node — static, cached verbatim.
-            p.history.computes.clone()
-        } else {
-            ctx.pick_from_parts(&[], &p.history.computes)
-                .expect("stop component holds at least m eligible nodes")
-                .0
-        };
-        Ok(ctx.finish(chosen, Weights::EQUAL, p.history.iterations))
-    }
-}
-
-impl Selector for MaxBandwidthSelector {
-    fn select(
-        &mut self,
-        snap: &NetSnapshot,
-        request: &SelectionRequest,
-    ) -> Result<Selection, SelectError> {
-        let primed = Self::prime(snap, request);
-        let result = primed.last.clone();
-        self.primed = Some(primed);
-        result
-    }
-
-    fn refresh(&mut self, snap: &NetSnapshot, delta: &NetDelta) -> Result<Selection, SelectError> {
-        let p = self.primed.as_mut().expect(REFRESH_BEFORE_SELECT);
-        // Any link churn can reorder the deletion sequence, and any
-        // health transition moves eligibility or the starting view:
-        // re-solve.
-        let fallback = !Arc::ptr_eq(&p.structure, snap.structure_arc())
-            || !p.incremental
-            || delta.link_changes() > 0
-            || delta.has_health_changes();
-        if fallback {
-            let request = p.request.clone();
-            return self.select(snap, &request);
-        }
-        if delta.is_empty() {
-            return p.last.clone();
-        }
-        let result = Self::replay(p, snap);
-        #[cfg(debug_assertions)]
-        debug_assert_eq!(
-            result,
-            max_bandwidth_in(snap, p.request.count, &p.request.constraints, None),
-            "MaxBandwidthSelector::refresh diverged from a fresh solve"
-        );
-        p.last = result.clone();
         result
     }
 
     fn footprint(&self) -> SelectionFootprint {
-        let Some(p) = self.primed.as_ref() else {
-            return SelectionFootprint::conservative();
-        };
-        if !p.incremental {
-            return SelectionFootprint::conservative();
-        }
-        // Node churn only re-ranks the pick inside the cached stop
-        // component; any link churn can reorder the whole deletion
-        // sequence.
-        SelectionFootprint {
-            replayable: true,
-            nodes: sorted_union(std::iter::once(p.history.computes.as_slice())),
-            links: LinkFootprint::All,
-        }
-    }
-}
-
-/// Incremental [`crate::balanced`]: see the module docs.
-#[derive(Debug, Default)]
-pub struct BalancedSelector {
-    primed: Option<BalancedPrimed>,
-}
-
-#[derive(Debug)]
-struct BalancedPrimed {
-    request: SelectionRequest,
-    structure: Arc<Topology>,
-    incremental: bool,
-    weights: Weights,
-    history: BalancedHistory,
-    /// Current minimum effective CPU of each historical state's pick.
-    min_cpu: Vec<f64>,
-    /// Current `(best score, first round achieving it)` of each state.
-    state_best: Vec<(f64, usize)>,
-    /// Node index → indices of the viable states it belongs to.
-    states_of: Vec<Vec<u32>>,
-    last: Result<Selection, SelectError>,
-}
-
-impl BalancedSelector {
-    /// An unprimed selector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn prime(snap: &NetSnapshot, request: &SelectionRequest) -> BalancedPrimed {
-        let Objective::Balanced(weights) = request.objective else {
-            panic!("BalancedSelector drives Objective::Balanced requests");
-        };
-        let reference_ok = request
-            .reference_bandwidth
-            .is_none_or(|r| r.is_finite() && r > 0.0);
-        let incremental = metrics_static_eligibility(&request.constraints)
-            && request.policy == GreedyPolicy::Sweep
-            && reference_ok;
-        let mut history = BalancedHistory::default();
-        let last = balanced_in(
-            snap,
-            request.count,
-            weights,
-            &request.constraints,
-            request.reference_bandwidth,
-            request.policy,
-            incremental.then_some(&mut history),
-        );
-        let mut states_of = vec![Vec::new(); snap.structure_arc().node_count()];
-        let mut min_cpu = Vec::with_capacity(history.states.len());
-        let mut state_best = Vec::with_capacity(history.states.len());
-        for (i, s) in history.states.iter().enumerate() {
-            min_cpu.push(s.min_cpu);
-            if s.viable {
-                state_best.push(state_score(s, s.min_cpu, weights));
-                for &n in &s.computes {
-                    states_of[n.index()].push(i as u32);
-                }
-            } else {
-                state_best.push((f64::NEG_INFINITY, 0));
-            }
-        }
-        BalancedPrimed {
-            request: request.clone(),
-            structure: Arc::clone(snap.structure_arc()),
-            incremental,
-            weights,
-            history,
-            min_cpu,
-            state_best,
-            states_of,
-            last,
-        }
-    }
-
-    fn replay(
-        p: &mut BalancedPrimed,
-        snap: &NetSnapshot,
-        delta: &NetDelta,
-    ) -> Result<Selection, SelectError> {
-        let ctx = Context::new(
-            snap,
-            p.request.count,
-            &p.request.constraints,
-            p.request.reference_bandwidth,
-        )?;
-        let mut touched: Vec<u32> = delta
-            .nodes
-            .iter()
-            .flat_map(|&(n, _)| p.states_of[n.index()].iter().copied())
-            .collect();
-        touched.sort_unstable();
-        touched.dedup();
-        for &i in &touched {
-            let s = &p.history.states[i as usize];
-            let (_, mc) = ctx
-                .pick_from_parts(&[], &s.computes)
-                .expect("state viability is static under metric churn");
-            p.min_cpu[i as usize] = mc;
-            p.state_best[i as usize] = state_score(s, mc, p.weights);
-        }
-        if !p.history.satisfiable {
-            return Err(SelectError::Unsatisfiable);
-        }
-        // The sweep keeps the first strict improvement: maximum score,
-        // earliest round, then the reference loop's smallest-first-node
-        // round tie-break.
-        let mut winner: Option<(f64, usize, NodeId, usize)> = None;
-        for (i, s) in p.history.states.iter().enumerate() {
-            if !s.viable {
-                continue;
-            }
-            let (score, round) = p.state_best[i];
-            let replace = match winner {
-                None => true,
-                Some((bs, br, bn, _)) => {
-                    score > bs
-                        || (score == bs && (round < br || (round == br && s.first_node < bn)))
-                }
-            };
-            if replace {
-                winner = Some((score, round, s.first_node, i));
-            }
-        }
-        let (_, _, _, win) = winner.expect("a satisfiable history has a viable state");
-        let (chosen, _) = ctx
-            .pick_from_parts(&[], &p.history.states[win].computes)
-            .expect("winning state is viable");
-        Ok(ctx.finish(chosen, p.weights, p.history.iterations))
-    }
-}
-
-/// A state's best score over its recorded lifetime, with the first round
-/// achieving it — exactly the strict-improvement fold the sweep performs
-/// round by round, with the CPU term re-derived from `min_cpu`.
-fn state_score(state: &HistState, min_cpu: f64, weights: Weights) -> (f64, usize) {
-    let cpu_term = min_cpu / weights.compute;
-    let mut events = state
-        .events
-        .iter()
-        .take_while(|&&(round, _)| round <= state.last_round);
-    let &(first_round, first_frac) = events
-        .next()
-        .expect("a viable state is evaluated in at least one round");
-    let mut best = (cpu_term.min(first_frac / weights.comm), first_round);
-    for &(round, frac) in events {
-        let score = cpu_term.min(frac / weights.comm);
-        if score > best.0 {
-            best = (score, round);
-        }
-    }
-    best
-}
-
-impl Selector for BalancedSelector {
-    fn select(
-        &mut self,
-        snap: &NetSnapshot,
-        request: &SelectionRequest,
-    ) -> Result<Selection, SelectError> {
-        let primed = Self::prime(snap, request);
-        let result = primed.last.clone();
-        self.primed = Some(primed);
-        result
-    }
-
-    fn refresh(&mut self, snap: &NetSnapshot, delta: &NetDelta) -> Result<Selection, SelectError> {
-        let p = self.primed.as_mut().expect(REFRESH_BEFORE_SELECT);
-        // Link churn moves edge fractions, hence the deletion order and
-        // the whole recorded history; health transitions move eligibility
-        // or the starting view: re-solve.
-        let fallback = !Arc::ptr_eq(&p.structure, snap.structure_arc())
-            || !p.incremental
-            || delta.link_changes() > 0
-            || delta.has_health_changes();
-        if fallback {
-            let request = p.request.clone();
-            return self.select(snap, &request);
-        }
-        if delta.is_empty() {
-            return p.last.clone();
-        }
-        let result = Self::replay(p, snap, delta);
-        #[cfg(debug_assertions)]
-        debug_assert_eq!(
-            result,
-            balanced_in(
-                snap,
-                p.request.count,
-                p.weights,
-                &p.request.constraints,
-                p.request.reference_bandwidth,
-                p.request.policy,
-                None,
-            ),
-            "BalancedSelector::refresh diverged from a fresh solve"
-        );
-        p.last = result.clone();
-        result
-    }
-
-    fn footprint(&self) -> SelectionFootprint {
-        let Some(p) = self.primed.as_ref() else {
-            return SelectionFootprint::conservative();
-        };
-        if !p.incremental {
-            return SelectionFootprint::conservative();
-        }
-        // Every viable historical state competes in the sweep, so any of
-        // its members' CPU can move the winner; the deletion history
-        // itself reads every edge's fraction.
-        SelectionFootprint {
-            replayable: true,
-            nodes: sorted_union(
-                p.history
-                    .states
-                    .iter()
-                    .filter(|s| s.viable)
-                    .map(|s| s.computes.as_slice()),
-            ),
-            links: LinkFootprint::All,
-        }
+        self.footprint.clone()
     }
 }
 
@@ -763,81 +280,30 @@ mod tests {
     use super::*;
     use nodesel_topology::builders::star;
     use nodesel_topology::units::MBPS;
-    use nodesel_topology::Direction;
+    use std::sync::Arc;
 
     fn snapshot_of(topo: Topology) -> NetSnapshot {
         NetSnapshot::capture(Arc::new(topo))
     }
 
     #[test]
-    fn refresh_tracks_node_churn() {
-        let (topo, ids) = star(6, 100.0 * MBPS);
+    fn one_selector_serves_every_objective() {
+        // The selector dispatches on the request, not on the objective
+        // it was obtained for.
+        let (mut topo, ids) = star(5, 100.0 * MBPS);
+        topo.set_load_avg(ids[0], 2.0);
         let snap = snapshot_of(topo);
+        let mut sel = selector_for(Objective::Compute);
         for request in [
-            SelectionRequest::compute(3),
-            SelectionRequest::communication(3),
-            SelectionRequest::balanced(3),
+            SelectionRequest::balanced(2),
+            SelectionRequest::communication(2),
+            SelectionRequest::compute(2),
         ] {
-            let mut sel = selector_for(request.objective);
-            let first = sel.select(&snap, &request).unwrap();
-            assert_eq!(first, crate::select(&snap.to_topology(), &request).unwrap());
-            // Load the picked nodes: the refreshed answer must match a
-            // fresh solve on the churned snapshot exactly.
-            let delta = NetDelta {
-                nodes: first.nodes.iter().map(|&n| (n, 4.0)).collect(),
-                ..NetDelta::default()
-            };
-            let next = snap.apply(&delta);
-            let refreshed = sel.refresh(&next, &delta).unwrap();
             assert_eq!(
-                refreshed,
-                crate::select(&next.to_topology(), &request).unwrap()
+                sel.select(&snap, &request),
+                crate::select(&snap.to_topology(), &request)
             );
-            if request.objective == Objective::Compute {
-                // Three idle leaves remain: the pick moves off the loaded ones.
-                assert!(refreshed.nodes.iter().all(|n| !first.nodes.contains(n)));
-                assert!(refreshed.nodes.iter().all(|n| ids.contains(n)));
-            }
         }
-    }
-
-    #[test]
-    fn refresh_tracks_link_churn() {
-        let (topo, ids) = star(5, 100.0 * MBPS);
-        let snap = snapshot_of(topo);
-        let request = SelectionRequest::communication(2);
-        let mut sel = MaxBandwidthSelector::new();
-        sel.select(&snap, &request).unwrap();
-        // Congest the access links of the first two nodes.
-        let edges: Vec<_> = snap.structure_arc().edge_ids().collect();
-        let delta = NetDelta {
-            links: vec![
-                (edges[0], Direction::AtoB, 90.0 * MBPS),
-                (edges[0], Direction::BtoA, 90.0 * MBPS),
-                (edges[1], Direction::AtoB, 90.0 * MBPS),
-                (edges[1], Direction::BtoA, 90.0 * MBPS),
-            ],
-            ..NetDelta::default()
-        };
-        let next = snap.apply(&delta);
-        let refreshed = sel.refresh(&next, &delta).unwrap();
-        assert!(!refreshed.nodes.contains(&ids[0]));
-        assert!(!refreshed.nodes.contains(&ids[1]));
-        assert_eq!(
-            refreshed,
-            crate::select(&next.to_topology(), &request).unwrap()
-        );
-    }
-
-    #[test]
-    fn empty_delta_returns_cached_selection() {
-        let (topo, _) = star(4, 100.0 * MBPS);
-        let snap = snapshot_of(topo);
-        let request = SelectionRequest::balanced(2);
-        let mut sel = BalancedSelector::new();
-        let first = sel.select(&snap, &request).unwrap();
-        let again = sel.refresh(&snap, &NetDelta::default()).unwrap();
-        assert_eq!(first, again);
     }
 
     #[test]
@@ -845,25 +311,22 @@ mod tests {
         let (topo, ids) = star(3, 100.0 * MBPS);
         let snap = snapshot_of(topo);
         let request = SelectionRequest::compute(9);
-        let mut sel = MaxComputeSelector::new();
-        assert!(matches!(
-            sel.select(&snap, &request),
-            Err(SelectError::NotEnoughNodes { .. })
-        ));
+        let mut sel = FlatSelector::new();
+        let first = sel.select(&snap, &request);
+        assert!(matches!(first, Err(SelectError::NotEnoughNodes { .. })));
+        // Load churn cannot conjure nodes: the footprint keeps the error,
+        // and a fresh solve on the next epoch reproduces it.
         let delta = NetDelta {
             nodes: vec![(ids[0], 1.0)],
             ..NetDelta::default()
         };
-        let next = snap.apply(&delta);
-        assert!(matches!(
-            sel.refresh(&next, &delta),
-            Err(SelectError::NotEnoughNodes { .. })
-        ));
+        assert!(!sel.footprint().invalidated_by(&delta));
+        assert_eq!(sel.select(&snap.apply(&delta), &request), first);
     }
 
     #[test]
     fn unprimed_footprint_is_conservative() {
-        let sel = MaxComputeSelector::new();
+        let sel = FlatSelector::new();
         let fp = sel.footprint();
         assert!(!fp.replayable);
         assert!(fp.invalidated_by(&NetDelta {
@@ -919,7 +382,7 @@ mod tests {
         let (topo, ids) = star(5, 100.0 * MBPS);
         let snap = snapshot_of(topo);
         let request = SelectionRequest::compute(2);
-        let mut sel = MaxComputeSelector::new();
+        let mut sel = FlatSelector::new();
         sel.select(&snap, &request).unwrap();
         let fp = sel.footprint();
         let delta = NetDelta {
@@ -927,15 +390,5 @@ mod tests {
             ..NetDelta::default()
         };
         assert!(fp.invalidated_by(&delta));
-    }
-
-    #[test]
-    #[should_panic(expected = "refresh called before")]
-    fn refresh_before_select_panics() {
-        let (topo, _) = star(3, 100.0 * MBPS);
-        let snap = snapshot_of(topo);
-        BalancedSelector::new()
-            .refresh(&snap, &NetDelta::default())
-            .ok();
     }
 }

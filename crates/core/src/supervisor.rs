@@ -2,10 +2,10 @@
 //!
 //! The migration [`Advisor`] answers "is there a better
 //! placement?" per epoch; it has no notion of *failure*. A [`Supervisor`]
-//! wraps the same persistent-[`Selector`](crate::Selector) machinery with a re-selection
-//! policy built for faulty networks:
+//! wraps the advisor's per-epoch fresh solve with a re-selection policy
+//! built for faulty networks:
 //!
-//! * **Failure-triggered refresh** — when a placed node is reported down
+//! * **Failure-triggered re-selection** — when a placed node is reported down
 //!   or too stale, or the routes between placed nodes cross a dead link,
 //!   the placement cannot make progress: re-selection is advised
 //!   immediately, bypassing the quality hysteresis.
@@ -100,8 +100,9 @@ pub struct SupervisorCheck {
     pub partitioned: bool,
 }
 
-/// A persistent, failure-aware re-selection supervisor for one running
-/// placement.
+/// A failure-aware re-selection supervisor for one running placement;
+/// the only state it keeps between epochs is its backoff clock and
+/// counters.
 pub struct Supervisor {
     advisor: Advisor,
     policy: SupervisorPolicy,
@@ -119,7 +120,7 @@ pub struct Supervisor {
 
 impl Supervisor {
     /// A supervisor for `request` under `policy`. The policy's staleness
-    /// cap is merged into the request's constraints so every refresh
+    /// cap is merged into the request's constraints so every solve
     /// excludes too-stale candidates uniformly.
     pub fn new(mut request: SelectionRequest, policy: SupervisorPolicy) -> Supervisor {
         assert!(policy.hysteresis >= 0.0, "hysteresis must be non-negative");
@@ -167,8 +168,8 @@ impl Supervisor {
     }
 
     /// One supervision epoch: classifies the health of `current` on
-    /// `snapshot`, refreshes the best placement (incrementally, through
-    /// the embedded advisor), and applies the policy. `now` is the
+    /// `snapshot`, solves for the best placement (through the embedded
+    /// advisor), and applies the policy. `now` is the
     /// caller's clock in seconds; a `now` earlier than any previously
     /// seen one (or a non-finite one) is **clamped** to the latest seen —
     /// time never moves backwards inside the supervisor, so a stale
@@ -176,8 +177,8 @@ impl Supervisor {
     /// [`Supervisor::check`] into resetting a widened one back to base.
     ///
     /// Errors from the underlying selection (e.g. too few live nodes to
-    /// host the application) are returned as-is; the supervisor stays
-    /// primed and the caller should retry on a later epoch.
+    /// host the application) are returned as-is; the caller should retry
+    /// on a later epoch.
     pub fn check(
         &mut self,
         now: f64,
@@ -504,7 +505,7 @@ mod tests {
             sup.check(5.0, &down, &placed, &own),
             Err(SelectError::NotEnoughNodes { .. })
         ));
-        // The supervisor stays primed: recovery on a later epoch works.
+        // Recovery on a later epoch works.
         let back = down.apply(&NetDelta {
             avail_nodes: vec![(ids[0], true), (ids[1], true)],
             ..NetDelta::default()

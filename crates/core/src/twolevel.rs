@@ -18,8 +18,8 @@
 //!    probed domain through a [`NetMetrics`] adapter that maps the
 //!    domain's extracted sub-topology onto the live snapshot metrics —
 //!    the same monomorphic arithmetic, so a single-domain hierarchy
-//!    reproduces the flat answer bit for bit (the selector simply
-//!    delegates to the flat incremental selector in that case, and for
+//!    reproduces the flat answer bit for bit (the selector simply runs
+//!    the flat engine on the whole snapshot in that case, and for
 //!    constrained requests, whose pinned/allowed sets are global).
 //!
 //! When no single domain can host the request, adjacent domains are
@@ -40,19 +40,14 @@
 //! `error_bound = upper_bound - achieved` therefore bounds the true
 //! regret of the domain restriction; benches report it at sizes where
 //! exact flat selection is still feasible.
-//!
-//! `refresh` keeps the incremental contract of [`Selector`]: results are
-//! bit-identical to a fresh `select` on the same snapshot (debug builds
-//! assert it), with per-epoch work proportional to the *touched*
-//! domains, not the graph.
 
-use crate::algorithms::{balanced_in, max_bandwidth_in, max_compute_in, Selection};
+use crate::algorithms::{select_in, Selection};
 use crate::request::{Objective, SelectionRequest};
-use crate::selector::{selector_for, Selector};
+use crate::selector::Selector;
 use crate::SelectError;
 use nodesel_topology::hierarchy::Extract;
 use nodesel_topology::{
-    Direction, EdgeId, Hierarchy, NetDelta, NetMetrics, NetSnapshot, NodeId, RouteSketch, Topology,
+    Direction, EdgeId, Hierarchy, NetMetrics, NetSnapshot, NodeId, RouteSketch, Topology,
 };
 use std::sync::Arc;
 
@@ -138,15 +133,15 @@ impl<T: NetMetrics> NetMetrics for DomainNet<'_, T> {
 
 /// A [`Selector`] that places requests through a domain hierarchy.
 ///
-/// On single-domain topologies and for constrained requests it holds an
-/// inner flat selector and is bit-identical to it; otherwise it runs
-/// the two-level strategy and exposes its diagnostics through
+/// On single-domain topologies and for constrained requests it runs the
+/// flat engine and is bit-identical to it; otherwise it runs the
+/// two-level strategy and exposes its diagnostics through
 /// [`TwoLevelSelector::last_outcome`].
 #[derive(Default)]
 pub struct TwoLevelSelector {
     config: TwoLevelConfig,
     cache: Option<HierCache>,
-    primed: Option<Primed>,
+    last: Option<TwoLevelSolve>,
 }
 
 /// Structure-keyed hierarchy state: rebuilt only when the snapshot's
@@ -159,26 +154,15 @@ struct HierCache {
     mean_lat: Vec<f64>,
 }
 
-enum Primed {
-    /// Delegating: single-domain hierarchy or constrained request.
-    Flat {
-        selector: Box<dyn Selector>,
-        request: SelectionRequest,
-        structure: Arc<Topology>,
-    },
-    Two(TwoPrimed),
-}
-
-struct TwoPrimed {
-    request: SelectionRequest,
-    structure: Arc<Topology>,
+/// What the last two-level solve leaves behind: the epoch's domain
+/// summaries (reusable while only the request changes) and the outcome.
+/// Dropped with the [`HierCache`] it was computed under.
+struct TwoLevelSolve {
     epoch: u64,
+    reference_bandwidth: Option<f64>,
     summaries: Vec<DomainSummary>,
     outcome: Option<TwoLevelOutcome>,
-    last: Result<Selection, SelectError>,
 }
-
-const REFRESH_BEFORE_SELECT: &str = "Selector::refresh called before Selector::select";
 
 impl TwoLevelSelector {
     /// A selector with the default [`TwoLevelConfig`].
@@ -191,21 +175,17 @@ impl TwoLevelSelector {
         TwoLevelSelector {
             config,
             cache: None,
-            primed: None,
+            last: None,
         }
     }
 
-    /// Diagnostics of the last `select`/`refresh`, when the two-level
-    /// path ran and succeeded (`None` while delegating to a flat engine
-    /// or after an error).
+    /// Diagnostics of the last `select`, when the two-level path ran and
+    /// succeeded (`None` after a flat solve or an error).
     pub fn last_outcome(&self) -> Option<&TwoLevelOutcome> {
-        match &self.primed {
-            Some(Primed::Two(p)) => p.outcome.as_ref(),
-            _ => None,
-        }
+        self.last.as_ref()?.outcome.as_ref()
     }
 
-    /// Number of domains in the current hierarchy, once primed.
+    /// Number of domains in the current hierarchy, once one is built.
     pub fn num_domains(&self) -> Option<u16> {
         self.cache.as_ref().map(|c| c.hier.num_domains())
     }
@@ -224,6 +204,7 @@ impl TwoLevelSelector {
         let mean_lat = (0..hier.num_domains())
             .map(|d| sketch.mean_inter_latency(d))
             .collect();
+        self.last = None;
         self.cache = Some(HierCache {
             structure: Arc::clone(structure),
             hier,
@@ -241,128 +222,29 @@ impl Selector for TwoLevelSelector {
         self.ensure_cache(snap);
         let cache = self.cache.as_ref().expect("cache just ensured");
         if cache.hier.num_domains() == 1 || !request.constraints.is_empty() {
-            // Degenerate or constrained: the flat incremental selector is
-            // both bit-exact and already near-linear at domain scale.
-            let mut selector = match self.primed.take() {
-                Some(Primed::Flat {
-                    selector,
-                    request: prev,
-                    ..
-                }) if core::mem::discriminant(&prev.objective)
-                    == core::mem::discriminant(&request.objective) =>
-                {
-                    selector
-                }
-                _ => selector_for(request.objective),
-            };
-            let result = selector.select(snap, request);
-            self.primed = Some(Primed::Flat {
-                selector,
-                request: request.clone(),
-                structure: Arc::clone(snap.structure_arc()),
-            });
-            return result;
+            // Degenerate or constrained: the flat engine is both bit-exact
+            // and already near-linear at domain scale.
+            self.last = None;
+            return select_in(snap, request);
         }
         // Reuse the epoch's summaries when only the request changed.
-        let summaries = match self.primed.take() {
-            Some(Primed::Two(p))
-                if Arc::ptr_eq(&p.structure, snap.structure_arc())
-                    && p.epoch == snap.epoch()
-                    && p.request.reference_bandwidth == request.reference_bandwidth =>
+        let summaries = match self.last.take() {
+            Some(p)
+                if p.epoch == snap.epoch()
+                    && p.reference_bandwidth == request.reference_bandwidth =>
             {
                 p.summaries
             }
             _ => summarize_all(&cache.hier, snap, request.reference_bandwidth),
         };
-        let (last, outcome) = solve_two_level(cache, &summaries, &self.config, snap, request);
-        let result = last.clone();
-        self.primed = Some(Primed::Two(TwoPrimed {
-            request: request.clone(),
-            structure: Arc::clone(snap.structure_arc()),
+        let (result, outcome) = solve_two_level(cache, &summaries, &self.config, snap, request);
+        self.last = Some(TwoLevelSolve {
             epoch: snap.epoch(),
+            reference_bandwidth: request.reference_bandwidth,
             summaries,
             outcome,
-            last,
-        }));
+        });
         result
-    }
-
-    fn refresh(&mut self, snap: &NetSnapshot, delta: &NetDelta) -> Result<Selection, SelectError> {
-        let reselect = match self.primed.as_ref().expect(REFRESH_BEFORE_SELECT) {
-            // A new structure Arc can change the domain decomposition
-            // itself, so delegation must be re-decided from scratch.
-            Primed::Flat {
-                structure, request, ..
-            }
-            | Primed::Two(TwoPrimed {
-                structure, request, ..
-            }) if !Arc::ptr_eq(structure, snap.structure_arc()) => Some(request.clone()),
-            _ => None,
-        };
-        if let Some(request) = reselect {
-            return self.select(snap, &request);
-        }
-        match self.primed.as_mut().expect(REFRESH_BEFORE_SELECT) {
-            Primed::Flat { selector, .. } => selector.refresh(snap, delta),
-            Primed::Two(p) => {
-                if delta.is_empty() {
-                    return p.last.clone();
-                }
-                let cache = self
-                    .cache
-                    .as_ref()
-                    .expect("primed implies cached hierarchy");
-                // Re-summarize only the touched domains; a link touches
-                // the domains of both endpoints.
-                let structure = snap.structure_arc();
-                let mut touched: Vec<u16> = Vec::new();
-                for &(n, _) in &delta.nodes {
-                    touched.push(cache.hier.domain_of(n));
-                }
-                for &(n, _) in &delta.avail_nodes {
-                    touched.push(cache.hier.domain_of(n));
-                }
-                for &(n, _) in &delta.stale_nodes {
-                    touched.push(cache.hier.domain_of(n));
-                }
-                let touch_edge = |e: EdgeId, touched: &mut Vec<u16>| {
-                    let l = structure.link(e);
-                    touched.push(cache.hier.domain_of(l.a()));
-                    touched.push(cache.hier.domain_of(l.b()));
-                };
-                for &(e, _, _) in &delta.links {
-                    touch_edge(e, &mut touched);
-                }
-                for &(e, _) in &delta.avail_links {
-                    touch_edge(e, &mut touched);
-                }
-                for &(e, _) in &delta.stale_links {
-                    touch_edge(e, &mut touched);
-                }
-                touched.sort_unstable();
-                touched.dedup();
-                for &d in &touched {
-                    p.summaries[d as usize] =
-                        summarize_domain(&cache.hier, d, snap, p.request.reference_bandwidth);
-                }
-                p.epoch = snap.epoch();
-                let (result, outcome) =
-                    solve_two_level(cache, &p.summaries, &self.config, snap, &p.request);
-                #[cfg(debug_assertions)]
-                {
-                    let fresh = summarize_all(&cache.hier, snap, p.request.reference_bandwidth);
-                    let (fresh_result, _) =
-                        solve_two_level(cache, &fresh, &self.config, snap, &p.request);
-                    debug_assert_eq!(
-                        result, fresh_result,
-                        "TwoLevelSelector::refresh diverged from a fresh solve"
-                    );
-                }
-                p.last = result.clone();
-                p.outcome = outcome;
-                result
-            }
-        }
     }
 }
 
@@ -476,28 +358,6 @@ fn rank_domains(
     ranked.into_iter().map(|(d, _)| d).collect()
 }
 
-/// Runs the flat engine matching the request on any metric view.
-fn solve_flat<T: NetMetrics>(
-    net: &T,
-    request: &SelectionRequest,
-) -> Result<Selection, SelectError> {
-    match request.objective {
-        Objective::Compute => max_compute_in(net, request.count, &request.constraints, None),
-        Objective::Communication => {
-            max_bandwidth_in(net, request.count, &request.constraints, None)
-        }
-        Objective::Balanced(w) => balanced_in(
-            net,
-            request.count,
-            w,
-            &request.constraints,
-            request.reference_bandwidth,
-            request.policy,
-            None,
-        ),
-    }
-}
-
 /// Flat solve inside an extract, mapped back to global node ids (local
 /// ascending order maps to global ascending order by construction).
 fn solve_in_extract(
@@ -506,7 +366,7 @@ fn solve_in_extract(
     request: &SelectionRequest,
 ) -> Result<Selection, SelectError> {
     let net = DomainNet { net: snap, ext };
-    let mut sel = solve_flat(&net, request)?;
+    let mut sel = select_in(&net, request)?;
     sel.nodes = sel.nodes.iter().map(|n| ext.nodes[n.index()]).collect();
     Ok(sel)
 }
@@ -647,7 +507,7 @@ fn solve_merged(
             None => break,
         }
     }
-    solve_flat(snap, request)
+    select_in(snap, request)
 }
 
 /// One full two-level solve over cached hierarchy state.
@@ -695,10 +555,10 @@ fn solve_two_level(
 mod tests {
     use super::*;
     use crate::request::SelectionRequest;
+    use crate::selector::selector_for;
     use nodesel_topology::builders::hierarchical;
     use nodesel_topology::units::MBPS;
-    use nodesel_topology::Direction;
-    use std::sync::Arc;
+    use nodesel_topology::{Direction, NetDelta};
 
     fn conditioned(domains: usize, hosts: usize) -> NetSnapshot {
         let (mut t, hosts_by_domain) =
@@ -752,25 +612,28 @@ mod tests {
     }
 
     #[test]
-    fn refresh_matches_fresh_select() {
+    fn summaries_are_reused_within_an_epoch_only() {
         let snap = conditioned(4, 5);
         let request = SelectionRequest::balanced(3);
         let mut sel = TwoLevelSelector::new();
         let first = sel.select(&snap, &request).unwrap();
-        // Empty delta: cached answer.
-        assert_eq!(sel.refresh(&snap, &NetDelta::default()).unwrap(), first);
-        // Load churn on the chosen nodes: refresh must equal a fresh
-        // selector's answer on the churned snapshot (debug builds also
-        // assert this internally).
-        let delta = NetDelta {
+        // Same epoch, different request: answered from the kept summaries,
+        // exactly as a new selector would.
+        let other = SelectionRequest::compute(2);
+        assert_eq!(
+            sel.select(&snap, &other),
+            TwoLevelSelector::new().select(&snap, &other)
+        );
+        // Load churn on the chosen nodes: the next epoch's answer equals a
+        // new selector's and moves off them.
+        let next = snap.apply(&NetDelta {
             nodes: first.nodes.iter().map(|&n| (n, 5.0)).collect(),
             ..NetDelta::default()
-        };
-        let next = snap.apply(&delta);
-        let refreshed = sel.refresh(&next, &delta).unwrap();
+        });
+        let moved = sel.select(&next, &request).unwrap();
         let fresh = TwoLevelSelector::new().select(&next, &request).unwrap();
-        assert_eq!(refreshed, fresh);
-        assert!(refreshed.nodes.iter().all(|n| !first.nodes.contains(n)));
+        assert_eq!(moved, fresh);
+        assert!(moved.nodes.iter().all(|n| !first.nodes.contains(n)));
     }
 
     #[test]
@@ -799,14 +662,5 @@ mod tests {
         let mut flat = selector_for(request.objective);
         assert_eq!(two.select(&snap, &request), flat.select(&snap, &request));
         assert!(two.last_outcome().is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "refresh called before")]
-    fn refresh_before_select_panics() {
-        let snap = conditioned(2, 2);
-        TwoLevelSelector::new()
-            .refresh(&snap, &NetDelta::default())
-            .ok();
     }
 }

@@ -5,16 +5,17 @@
 //! `Result` where applicable:
 //!
 //! * **Degeneracy**: with a single domain, [`TwoLevelSelector`] is
-//!   bit-identical to the flat incremental selector — nodes, quality,
-//!   score, iterations, and errors (the release-build counterpart of the
-//!   debug assertions inside the selector).
+//!   bit-identical to the flat selector — nodes, quality, score,
+//!   iterations, and errors — on the first epoch and on a churned one.
 //! * **Feasible and close**: on multi-domain fabrics the two-level
 //!   answer is feasible, and the exact flat value exceeds the two-level
 //!   achieved value by at most the *reported* error bound — the bound
 //!   published in [`nodesel_core::TwoLevelOutcome`] is sound, not
 //!   aspirational.
-//! * **Refresh parity**: `refresh` after churn equals a fresh selector's
-//!   `select` on the churned snapshot, exactly.
+//! * **Reuse parity**: a selector that already served an epoch answers
+//!   the churned next one exactly as a new selector does (its per-epoch
+//!   domain summaries never leak across epochs), with a bound that is
+//!   still sound.
 
 use nodesel_core::{select, selector_for, Objective, SelectionRequest, Selector, TwoLevelSelector};
 use nodesel_topology::builders::hierarchical;
@@ -79,7 +80,7 @@ proptest! {
             let a = two.select(&snap, &request);
             let b = flat.select(&snap, &request);
             prop_assert_eq!(&a, &b, "objective {:?}", request.objective);
-            // And through refresh: same churn, same answers.
+            // And on the next epoch: same churn, same answers.
             let delta = NetDelta {
                 nodes: snap
                     .structure_arc()
@@ -91,9 +92,9 @@ proptest! {
             };
             let next = snap.apply(&delta);
             prop_assert_eq!(
-                two.refresh(&next, &delta),
-                flat.refresh(&next, &delta),
-                "refresh, objective {:?}", request.objective
+                two.select(&next, &request),
+                flat.select(&next, &request),
+                "churned epoch, objective {:?}", request.objective
             );
         }
     }
@@ -136,7 +137,7 @@ proptest! {
     }
 
     #[test]
-    fn refresh_equals_fresh_select_after_churn(
+    fn reused_selector_equals_a_new_one_after_churn(
         seed in 0u64..100_000,
         domains in 1usize..5,
         hosts in 3usize..8,
@@ -165,9 +166,25 @@ proptest! {
                 ..NetDelta::default()
             };
             let next = snap.apply(&delta);
-            let refreshed = sel.refresh(&next, &delta);
+            let reused = sel.select(&next, &request);
             let fresh = TwoLevelSelector::new().select(&next, &request);
-            prop_assert_eq!(refreshed, fresh, "objective {:?}", request.objective);
+            prop_assert_eq!(&reused, &fresh, "objective {:?}", request.objective);
+            // The bound reported for the churned epoch covers the exact
+            // flat optimum on that epoch.
+            if let (Some(outcome), Ok(_)) = (sel.last_outcome(), &reused) {
+                let flat = select(&next.to_topology(), &request).unwrap();
+                let flat_value = value(request.objective, &flat);
+                let regret = if flat_value <= outcome.achieved {
+                    0.0
+                } else {
+                    flat_value - outcome.achieved
+                };
+                prop_assert!(
+                    regret <= outcome.error_bound + 1e-9,
+                    "{:?}: flat {} vs two-level {} exceeds reported bound {}",
+                    request.objective, flat_value, outcome.achieved, outcome.error_bound
+                );
+            }
         }
     }
 

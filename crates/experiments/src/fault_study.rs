@@ -29,7 +29,7 @@ use crate::driver::mean;
 use nodesel_apps::{fft::fft_program, AppModel};
 use nodesel_core::migration::OwnUsage;
 use nodesel_core::{
-    random_selection, BalancedSelector, SelectionRequest, Selector, Supervisor, SupervisorPolicy,
+    random_selection, FlatSelector, SelectionRequest, Selector, Supervisor, SupervisorPolicy,
     SupervisorVerdict,
 };
 use nodesel_loadgen::{install_load, LoadConfig};
@@ -148,7 +148,7 @@ pub fn run_fault_trial(
 
     let request = SelectionRequest::balanced(config.m);
     let auto_nodes = {
-        let mut selector = BalancedSelector::new();
+        let mut selector = FlatSelector::new();
         selector
             .select(&remos.snapshot(&sim), &request)
             .expect("testbed has enough nodes")

@@ -5,9 +5,6 @@
 //!   column and the paper's "% change" and increase-ratio derived metrics;
 //! * [`scenario`] — the Figure 4 worked example (automatic selection
 //!   steering around a bulk `m-16 → m-18` stream);
-//! * [`service_churn`] — a resident placement service polling the
-//!   collector's versioned snapshot stream and refreshing a primed
-//!   selector from epoch deltas;
 //! * [`fault_study`] — random vs automatic vs supervised placement
 //!   racing seeded fault plans (node crashes, optional reboots) against
 //!   a deadline;
@@ -31,7 +28,6 @@ pub mod fault_study;
 pub mod migration_study;
 pub mod scenario;
 pub mod sensitivity;
-pub mod service_churn;
 pub mod table1;
 pub mod tomography;
 
@@ -55,7 +51,6 @@ pub use scenario::{run_fig4_scenario, Fig4Outcome};
 pub use sensitivity::{
     length_sensitivity, load_sensitivity, traffic_sensitivity, SensitivityPoint,
 };
-pub use service_churn::{run_service_churn, ChurnCheck, ChurnConfig, ChurnReport};
 pub use table1::{
     paper_table1, run_table1, run_table1_on, run_table1_row, Table1, Table1Config, Table1Row,
 };

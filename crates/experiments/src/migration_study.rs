@@ -13,7 +13,7 @@
 use crate::driver::{Condition, TrialConfig};
 use nodesel_apps::{fft::fft_program, launch_phased_migratable, MigrationStats};
 use nodesel_core::migration::{Advisor, OwnUsage};
-use nodesel_core::{random_selection, BalancedSelector, SelectionRequest, Selector};
+use nodesel_core::{random_selection, FlatSelector, SelectionRequest, Selector};
 use nodesel_loadgen::{install_load, install_traffic};
 use nodesel_remos::{CollectorConfig, Remos};
 use nodesel_simnet::{Sim, SimTime};
@@ -91,7 +91,7 @@ pub fn run_long_job(
                 .nodes
         }
         _ => {
-            let mut selector = BalancedSelector::new();
+            let mut selector = FlatSelector::new();
             selector
                 .select(&remos.snapshot(&sim), &SelectionRequest::balanced(m))
                 .expect("nodes")
@@ -106,10 +106,7 @@ pub fn run_long_job(
         LongRunStrategy::AutoMigrate { period, threshold } => {
             let remos = remos.clone();
             let mut last_check = SimTime::ZERO;
-            // The advisor's selector stays primed across checks: epochs
-            // whose churn leaves the solve skeleton intact are replayed
-            // instead of re-solved.
-            let mut advisor = Advisor::new(SelectionRequest::balanced(m), threshold);
+            let advisor = Advisor::new(SelectionRequest::balanced(m), threshold);
             Box::new(
                 move |sim: &mut Sim, current: &[nodesel_topology::NodeId], _iter| {
                     let now = sim.now();

@@ -7,7 +7,7 @@
 //! the balanced selection, and verify that no route between selected nodes
 //! shares a link with the stream.
 
-use nodesel_core::{BalancedSelector, SelectionRequest, Selector};
+use nodesel_core::{FlatSelector, SelectionRequest, Selector};
 use nodesel_remos::{CollectorConfig, Remos};
 use nodesel_simnet::Sim;
 use nodesel_topology::dot::to_dot;
@@ -49,7 +49,7 @@ pub fn run_fig4_scenario() -> Fig4Outcome {
     sim.run_for(60.0);
 
     let snapshot = remos.snapshot(&sim);
-    let mut selector = BalancedSelector::new();
+    let mut selector = FlatSelector::new();
     let selection = selector
         .select(&snapshot, &SelectionRequest::balanced(4))
         .expect("testbed has enough nodes");

@@ -11,7 +11,7 @@
 use crate::driver::{Condition, TrialConfig};
 use nodesel_apps::AppModel;
 use nodesel_core::{
-    balanced, BalancedSelector, Constraints, GreedyPolicy, SelectionRequest, Selector, Weights,
+    balanced, Constraints, FlatSelector, GreedyPolicy, SelectionRequest, Selector, Weights,
 };
 use nodesel_loadgen::{install_load, install_traffic};
 use nodesel_remos::inference::{infer_topology, measure_all_pairs};
@@ -60,7 +60,7 @@ pub fn run_view_trial(
 
     let nodes: Vec<NodeId> = match view {
         View::LogicalTopology => {
-            let mut selector = BalancedSelector::new();
+            let mut selector = FlatSelector::new();
             selector
                 .select(&remos.snapshot(&sim), &SelectionRequest::balanced(m))
                 .expect("nodes")

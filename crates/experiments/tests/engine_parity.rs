@@ -5,7 +5,7 @@
 //! suite in `nodesel-simnet`.
 
 use nodesel_apps::AppModel;
-use nodesel_core::{BalancedSelector, SelectionRequest, Selector};
+use nodesel_core::{FlatSelector, SelectionRequest, Selector};
 use nodesel_experiments::{run_trial, Condition, Strategy, Testbed, TrialConfig};
 use nodesel_loadgen::{install_load, LoadConfig};
 use nodesel_remos::{CollectorConfig, Remos};
@@ -72,7 +72,7 @@ fn empty_fault_plan_is_invisible() {
                     .chain(snap.used_values())
                     .map(|v| v.to_bits())
                     .collect();
-                let nodes = BalancedSelector::new()
+                let nodes = FlatSelector::new()
                     .select(&snap, &SelectionRequest::balanced(4))
                     .expect("fault-free selection succeeds")
                     .nodes;

@@ -17,7 +17,7 @@
 //!   panic, and any selection they do return uses only nodes believed
 //!   available.
 
-use nodesel_core::{selector_for, SelectError, SelectionRequest, Selector};
+use nodesel_core::{selector_for, SelectError, SelectionRequest};
 use nodesel_experiments::Testbed;
 use nodesel_loadgen::{install_load, LoadConfig};
 use nodesel_remos::{CollectorConfig, Remos};
@@ -158,17 +158,12 @@ proptest! {
         );
         install_faults(&mut sim, &decode_plan(&raw_sched, &raw_flaps, seed ^ 0xFA));
 
-        // One selector per objective; refresh incrementally while primed,
-        // re-prime with a full select after any failure.
+        // One request per objective, re-selected every epoch.
         let requests = [
             SelectionRequest::compute(4),
             SelectionRequest::communication(4),
             SelectionRequest::balanced(4),
         ];
-        let mut selectors: Vec<(Box<dyn Selector>, &SelectionRequest, bool)> = requests
-            .iter()
-            .map(|req| (selector_for(req.objective), req, false))
-            .collect();
         let mut prev: Option<NetSnapshot> = None;
 
         for _epoch in 0..EPOCHS {
@@ -211,15 +206,9 @@ proptest! {
                 }
             }
 
-            for (sel, req, primed) in selectors.iter_mut() {
-                let result = if *primed {
-                    sel.refresh(&snap, &snap.diff(prev.as_ref().unwrap()))
-                } else {
-                    sel.select(&snap, req)
-                };
-                match result {
+            for req in &requests {
+                match selector_for(req.objective).select(&snap, req) {
                     Ok(selection) => {
-                        *primed = true;
                         prop_assert_eq!(selection.nodes.len(), req.count);
                         for &n in &selection.nodes {
                             prop_assert!(
@@ -230,9 +219,7 @@ proptest! {
                     }
                     // Heavy churn can leave too few usable nodes; an
                     // error is the contract, a panic is the bug.
-                    Err(SelectError::NotEnoughNodes { .. } | SelectError::Unsatisfiable) => {
-                        *primed = false;
-                    }
+                    Err(SelectError::NotEnoughNodes { .. } | SelectError::Unsatisfiable) => {}
                     Err(other) => {
                         return Err(TestCaseError::fail(format!(
                             "unexpected selection error under churn: {other:?}"

@@ -935,8 +935,7 @@ impl PlacementService {
     /// calls for this job.
     ///
     /// Selection errors (e.g. too few live nodes) leave the ledger
-    /// unchanged; the supervisor stays primed and a later epoch may
-    /// recover.
+    /// unchanged; a later epoch may recover.
     pub fn supervise(&self, job: JobId, now: f64) -> Result<SupervisorCheck, ServiceError> {
         let mut cell = self.lock_ledger();
         let raw = Arc::clone(&cell.raw);
@@ -1115,6 +1114,7 @@ fn solve(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nodesel_core::{Objective, Weights};
     use nodesel_topology::builders::star;
     use nodesel_topology::units::MBPS;
     use nodesel_topology::{NetDelta, NodeId};
@@ -1293,6 +1293,31 @@ mod tests {
         ));
         assert_eq!(svc.active_jobs(), 0);
         assert_eq!(svc.stats().admits, 0);
+    }
+
+    #[test]
+    fn invalid_weights_are_a_typed_error_not_a_poisoned_ledger() {
+        // `admit` solves under the ledger mutex: a panic there would
+        // poison it and take every later request down with it.
+        let (svc, _) = service();
+        let bad = SelectionRequest {
+            objective: Objective::Balanced(Weights {
+                compute: 0.0,
+                comm: 1.0,
+            }),
+            ..SelectionRequest::balanced(2)
+        };
+        assert!(matches!(
+            svc.admit(&bad),
+            Err(ServiceError::Select(SelectError::InvalidWeights))
+        ));
+        assert_eq!(svc.active_jobs(), 0);
+        assert_eq!(
+            svc.get(&bad).result.as_ref(),
+            Err(&SelectError::InvalidWeights)
+        );
+        assert!(svc.get(&SelectionRequest::balanced(2)).result.is_ok());
+        assert!(svc.stats().balanced());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! Run with: `cargo run -p nodesel-experiments --example migration`
 
 use nodesel_core::migration::{Advisor, OwnUsage};
-use nodesel_core::{BalancedSelector, SelectionRequest, Selector};
+use nodesel_core::{FlatSelector, SelectionRequest, Selector};
 use nodesel_remos::{CollectorConfig, Remos};
 use nodesel_simnet::Sim;
 use nodesel_topology::testbeds::cmu_testbed;
@@ -22,7 +22,7 @@ fn main() {
     // Initial placement on the idle testbed, from the collector's
     // versioned snapshot.
     let request = SelectionRequest::balanced(4);
-    let mut selector = BalancedSelector::new();
+    let mut selector = FlatSelector::new();
     let initial = selector.select(&remos.snapshot(&sim), &request).unwrap();
     let name = |n| tb.topo.node(n).name().to_string();
     let placed: Vec<String> = initial.nodes.iter().map(|&n| name(n)).collect();
@@ -34,10 +34,9 @@ fn main() {
     }
     let own = OwnUsage::one_process_per_node(&initial.nodes);
 
-    // Check periodically while the environment degrades. The advisor
-    // keeps its selector primed across epochs: checks where only node
-    // loads moved are replayed incrementally, not re-solved.
-    let mut advisor = Advisor::new(request.clone(), 0.25);
+    // Check periodically while the environment degrades: each check is
+    // the selection procedure applied afresh to the discounted snapshot.
+    let advisor = Advisor::new(request.clone(), 0.25);
     println!("\n t(s)  current  best   recommend  move");
     for step in 0..6 {
         sim.run_for(120.0);
