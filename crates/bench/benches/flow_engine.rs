@@ -3,16 +3,16 @@
 //! the CMU testbed at three intensities (multiples of the paper's Poisson
 //! arrival rate), plus *federated* scenarios (many independent subnets in
 //! one simulator) where the sharing graph actually decomposes and
-//! cluster-scoped reallocation pays off. A speedup table is printed before
-//! measurement and a machine-readable `BENCH_simnet.json` (events/sec per
-//! setting, a Table-1 trial wall-clock and the run's provenance) is
-//! written to the workspace root so the perf trajectory is comparable
-//! across PRs. This bench is the file's only writer.
+//! cluster-scoped reallocation pays off. A speedup table is printed and
+//! the `flow_engine` section of `BENCH_simnet.json` (events/sec per
+//! setting, a Table-1 trial wall-clock) is recorded at the workspace
+//! root so the perf trajectory is comparable across PRs;
+//! `-- --test` validates without writing. The reference engine is the
+//! simulator's `oracle` feature, which this crate's benches turn on.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use nodesel_apps::AppModel;
-use nodesel_bench::{federated, provenance};
-use nodesel_experiments::{run_trial, Condition, Strategy, Testbed, TrialConfig};
+use nodesel_bench::federated;
+use nodesel_experiments::{record, run_trial, Condition, Strategy, Testbed, TrialConfig};
 use nodesel_loadgen::{install_load, install_traffic, LoadConfig, TrafficConfig};
 use nodesel_simnet::{FlowEngine, Sim};
 use nodesel_topology::testbeds::cmu_testbed;
@@ -68,29 +68,24 @@ fn measure(run: impl Fn() -> u64, iters: usize) -> (u64, f64) {
     (events, samples[samples.len() / 2])
 }
 
-/// Panics unless `doc` carries what this bench (and the CI smoke step)
-/// promises of `BENCH_simnet.json`: the schema-drift tripwire.
+/// Panics unless `doc` carries the section this bench (and the CI smoke
+/// step) promises of `BENCH_simnet.json`: the schema-drift tripwire.
 fn validate_schema(doc: &serde_json::Value) {
+    let s = doc
+        .get("flow_engine")
+        .expect("BENCH_simnet.json lost its flow_engine section");
     for key in [
-        "bench",
         "testbed",
         "sim_seconds",
         "intensities",
         "federated",
         "table1_trial",
-        "provenance",
     ] {
-        assert!(doc.get(key).is_some(), "BENCH_simnet.json lost `{key}`");
-    }
-    for key in ["commit", "rustc", "cores", "harness"] {
-        assert!(
-            doc["provenance"].get(key).is_some(),
-            "BENCH_simnet.json provenance lost `{key}`"
-        );
+        assert!(s.get(key).is_some(), "flow_engine section lost `{key}`");
     }
 }
 
-fn emit_summary(c: &mut Criterion) {
+fn main() {
     eprintln!("\n=== simnet flow engines: busy CMU testbed, {SIM_SECONDS} simulated seconds ===");
     eprintln!(
         "{:<6} {:>10} {:>16} {:>16} {:>9}",
@@ -154,54 +149,16 @@ fn emit_summary(c: &mut Criterion) {
     let trial_wall = t.elapsed().as_secs_f64();
     eprintln!("table1 trial ({}): {trial_wall:.3} s wall", app.name());
 
-    let doc = serde_json::json!({
-        "bench": "flow_engine",
-        "testbed": "cmu",
-        "sim_seconds": SIM_SECONDS,
-        "intensities": rows,
-        "federated": fed_rows,
-        "table1_trial": { "app": app.name(), "wall_secs": trial_wall },
-        "provenance": provenance(),
-    });
-    validate_schema(&doc);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_simnet.json");
-    match std::fs::write(path, format!("{:#}\n", doc)) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-
-    // Criterion groups: per-setting, both engines, throughput-labelled.
-    for (label, mult) in INTENSITIES {
-        let events = run_busy(FlowEngine::Incremental, mult);
-        let mut group = c.benchmark_group(format!("flow_engine/{label}"));
-        group.sample_size(10);
-        group.throughput(Throughput::Elements(events));
-        for (name, engine) in [
-            ("incremental", FlowEngine::Incremental),
-            ("reference", FlowEngine::Reference),
-        ] {
-            group.bench_with_input(BenchmarkId::new(name, label), &mult, |b, &mult| {
-                b.iter(|| black_box(run_busy(engine, mult)))
-            });
-        }
-        group.finish();
-    }
-    for (label, k, mult) in FEDERATED {
-        let events = run_federated(FlowEngine::Incremental, k, mult);
-        let mut group = c.benchmark_group(format!("flow_engine/{label}"));
-        group.sample_size(10);
-        group.throughput(Throughput::Elements(events));
-        for (name, engine) in [
-            ("incremental", FlowEngine::Incremental),
-            ("reference", FlowEngine::Reference),
-        ] {
-            group.bench_with_input(BenchmarkId::new(name, label), &mult, |b, &mult| {
-                b.iter(|| black_box(run_federated(engine, k, mult)))
-            });
-        }
-        group.finish();
-    }
+    record(
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_simnet.json"),
+        "flow_engine",
+        serde_json::json!({
+            "testbed": "cmu",
+            "sim_seconds": SIM_SECONDS,
+            "intensities": rows,
+            "federated": fed_rows,
+            "table1_trial": { "app": app.name(), "wall_secs": trial_wall },
+        }),
+        validate_schema,
+    );
 }
-
-criterion_group!(benches, emit_summary);
-criterion_main!(benches);

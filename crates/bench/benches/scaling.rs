@@ -4,9 +4,9 @@
 //! Two experiments share this bin:
 //!
 //! * **Flat growth** — the §3.2 complexity claim on the flat engines: a
-//!   log-log sweep of `balanced` over random trees with the fitted
-//!   growth exponent (the paper claims O(n²); the sorted-edge engines
-//!   do better).
+//!   log-log sweep of `balanced` (and, beside it, `max_bandwidth`) over
+//!   random trees with the fitted growth exponent of `balanced` (the
+//!   paper claims O(n²); the sorted-edge engines do better).
 //! * **Two-level sweep** — per-selection latency of
 //!   [`nodesel_core::TwoLevelSelector`] on hierarchical fabrics
 //!   (star domains on a binary trunk tree) from n = 200 to n = 100k,
@@ -22,18 +22,19 @@
 //!   `nodesel-core` guard that), and the mean relative error of the
 //!   landmark bandwidth sketch over sampled cross-domain pairs.
 //!
-//! Results land in `BENCH_scaling.json` under `"scaling"`; the file is
-//! read-modify-written so foreign sections survive, and the written
-//! document is validated against the expected schema (the CI smoke step
-//! fails on drift). `--test`/`--smoke` truncates the sweep at n = 2000;
-//! measured numbers are whatever this machine gives, reported as
-//! measured.
+//! Results land in `BENCH_scaling.json` under `"scaling"` through
+//! `nodesel_experiments::record` (provenance, history, schema checked
+//! on the written document; the CI smoke step fails on drift).
+//! `--test`/`--smoke` truncates the sweep at n = 2000 and writes
+//! nothing; measured numbers are whatever this machine gives, reported
+//! as measured.
 
 use nodesel_bench::{conditioned_hierarchy, conditioned_tree};
 use nodesel_core::{
-    balanced, select, Constraints, GreedyPolicy, Objective, Selection, SelectionRequest, Selector,
-    TwoLevelSelector, Weights,
+    balanced, max_bandwidth, select, Constraints, GreedyPolicy, Objective, Selection,
+    SelectionRequest, Selector, TwoLevelSelector, Weights,
 };
+use nodesel_experiments::{record, smoke_requested};
 use nodesel_topology::{Hierarchy, NetSnapshot, RouteSketch, RouteTable, Topology};
 use std::sync::Arc;
 use std::time::Instant;
@@ -107,7 +108,7 @@ fn validate_schema(doc: &serde_json::Value) {
     for key in ["smoke", "m", "iters", "flat_growth", "rows"] {
         assert!(s.get(key).is_some(), "scaling section lost `{key}`");
     }
-    for key in ["sizes", "ms", "exponent"] {
+    for key in ["sizes", "ms", "max_bandwidth_ms", "exponent"] {
         assert!(
             s["flat_growth"].get(key).is_some(),
             "flat_growth lost `{key}`"
@@ -141,7 +142,7 @@ fn validate_schema(doc: &serde_json::Value) {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--test" || a == "--smoke");
+    let smoke = smoke_requested();
     let (iters, flat_reps) = if smoke { (5, 2) } else { (51, 5) };
 
     // --- Flat growth: the §3.2 complexity check. ---
@@ -151,7 +152,12 @@ fn main() {
         &[50, 100, 200, 400, 800]
     };
     let mut growth_ms = Vec::new();
-    eprintln!("\n=== Complexity check (flat balanced selection, m = {M}) ===");
+    let mut growth_maxbw_ms = Vec::new();
+    eprintln!("\n=== Complexity check (flat selection, m = {M}) ===");
+    eprintln!(
+        "{:>10} {:>14} {:>14}",
+        "nodes", "balanced (ms)", "maxbw (ms)"
+    );
     for &n in growth_sizes {
         let (topo, ids) = conditioned_tree(11, n);
         let m = M.min(ids.len());
@@ -168,12 +174,18 @@ fn main() {
             .unwrap();
         }
         let ms = t.elapsed().as_secs_f64() * 1e3 / flat_reps as f64;
-        eprintln!("  n = {n:>4}: {ms:>9.3} ms");
+        let t = Instant::now();
+        for _ in 0..flat_reps {
+            max_bandwidth(&topo, m, &Constraints::none()).unwrap();
+        }
+        let maxbw_ms = t.elapsed().as_secs_f64() * 1e3 / flat_reps as f64;
+        eprintln!("{n:>10} {ms:>14.3} {maxbw_ms:>14.3}");
         growth_ms.push(ms);
+        growth_maxbw_ms.push(maxbw_ms);
     }
     let exponent = (growth_ms[growth_ms.len() - 1] / growth_ms[0]).ln()
         / (growth_sizes[growth_sizes.len() - 1] as f64 / growth_sizes[0] as f64).ln();
-    eprintln!("  growth exponent ≈ {exponent:.2} (paper claims O(n²))");
+    eprintln!("  growth exponent (balanced) ≈ {exponent:.2} (paper claims O(n²))");
 
     // --- Two-level sweep. ---
     eprintln!("\n=== Two-level selection, m = {M} (median of {iters} steady-state selects) ===");
@@ -293,32 +305,21 @@ fn main() {
         }
     }
 
-    // Read-modify-write: own only the scaling section so foreign
-    // sections survive a re-run, then re-validate.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scaling.json");
-    let mut doc = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|s| serde_json::from_str::<serde_json::Value>(&s).ok())
-        .filter(|v| v.as_object().is_some())
-        .unwrap_or_else(|| serde_json::json!({}));
-    doc["scaling"] = serde_json::json!({
-        "smoke": smoke,
-        "m": M,
-        "iters": iters,
-        "flat_growth": {
-            "sizes": growth_sizes,
-            "ms": growth_ms,
-            "exponent": exponent,
-        },
-        "rows": rows,
-    });
-    validate_schema(&doc);
-    match std::fs::write(path, format!("{:#}\n", doc)) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-    let reread: serde_json::Value =
-        serde_json::from_str(&std::fs::read_to_string(path).expect("just wrote the bench summary"))
-            .expect("bench summary is valid JSON");
-    validate_schema(&reread);
+    record(
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scaling.json"),
+        "scaling",
+        serde_json::json!({
+            "smoke": smoke,
+            "m": M,
+            "iters": iters,
+            "flat_growth": {
+                "sizes": growth_sizes,
+                "ms": growth_ms,
+                "max_bandwidth_ms": growth_maxbw_ms,
+                "exponent": exponent,
+            },
+            "rows": rows,
+        }),
+        validate_schema,
+    );
 }

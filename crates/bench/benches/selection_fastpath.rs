@@ -2,13 +2,12 @@
 //!
 //! Benchmarks the public near-linear engines (`max_bandwidth`, `balanced`,
 //! `exhaustive_select`) against the paper-faithful O(E²) / unpruned
-//! references they are asserted byte-identical to, across topology sizes.
-//! A speedup table is printed once before measurement so a plain
-//! `cargo bench --bench selection_fastpath` doubles as the performance
-//! acceptance check (the fast paths must not regress below ~10× on
-//! `max_bandwidth` and ~5× on `balanced` at n = 1000).
+//! references they are asserted byte-identical to, across topology sizes
+//! (the references are `nodesel-core`'s `oracle` feature, which this
+//! crate's benches turn on). The speedup table it prints is the
+//! performance acceptance check: the fast paths must not regress below
+//! ~10× on `max_bandwidth` and ~5× on `balanced` at n = 1000.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nodesel_bench::conditioned_tree;
 use nodesel_core::{
     balanced, balanced_reference, exhaustive_select, exhaustive_select_reference, max_bandwidth,
@@ -32,7 +31,7 @@ fn time_one(mut f: impl FnMut(), iters: usize) -> f64 {
     samples[samples.len() / 2]
 }
 
-fn print_speedup_table() {
+fn main() {
     eprintln!("\n=== selection fast paths vs reference loops (median of 3) ===");
     eprintln!(
         "{:<14} {:>6} {:>14} {:>14} {:>9}",
@@ -115,83 +114,3 @@ fn print_speedup_table() {
         slow / fast
     );
 }
-
-fn bench_fastpath(c: &mut Criterion) {
-    print_speedup_table();
-
-    let mut group = c.benchmark_group("selection_fastpath/max_bandwidth");
-    for nodes in SIZES {
-        let (topo, ids) = conditioned_tree(7, nodes);
-        let m = 6.min(ids.len());
-        if nodes >= 1000 {
-            group.sample_size(10);
-        }
-        group.bench_with_input(BenchmarkId::new("fast", nodes), &nodes, |b, _| {
-            b.iter(|| black_box(max_bandwidth(&topo, m, &Constraints::none()).unwrap()))
-        });
-        group.bench_with_input(BenchmarkId::new("reference", nodes), &nodes, |b, _| {
-            b.iter(|| black_box(max_bandwidth_reference(&topo, m, &Constraints::none()).unwrap()))
-        });
-    }
-    group.finish();
-
-    let mut group = c.benchmark_group("selection_fastpath/balanced");
-    for nodes in SIZES {
-        let (topo, ids) = conditioned_tree(7, nodes);
-        let m = 6.min(ids.len());
-        if nodes >= 1000 {
-            group.sample_size(10);
-        }
-        group.bench_with_input(BenchmarkId::new("fast", nodes), &nodes, |b, _| {
-            b.iter(|| {
-                black_box(
-                    balanced(
-                        &topo,
-                        m,
-                        Weights::EQUAL,
-                        &Constraints::none(),
-                        None,
-                        GreedyPolicy::Sweep,
-                    )
-                    .unwrap(),
-                )
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("reference", nodes), &nodes, |b, _| {
-            b.iter(|| {
-                black_box(
-                    balanced_reference(
-                        &topo,
-                        m,
-                        Weights::EQUAL,
-                        &Constraints::none(),
-                        None,
-                        GreedyPolicy::Sweep,
-                    )
-                    .unwrap(),
-                )
-            })
-        });
-    }
-    group.finish();
-
-    let mut group = c.benchmark_group("selection_fastpath/exhaustive");
-    group.sample_size(10);
-    let (topo, ids) = conditioned_tree(11, 36);
-    let m = 4.min(ids.len());
-    let obj = ExhaustiveObjective::Balanced(Weights::EQUAL);
-    group.bench_function("pruned_parallel", |b| {
-        b.iter(|| black_box(exhaustive_select(&topo, m, obj, &Constraints::none(), None).unwrap()))
-    });
-    group.bench_function("serial_unpruned", |b| {
-        b.iter(|| {
-            black_box(
-                exhaustive_select_reference(&topo, m, obj, &Constraints::none(), None).unwrap(),
-            )
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_fastpath);
-criterion_main!(benches);

@@ -2,16 +2,16 @@
 //! warm-up) vs the warm-fork harness (cells sharing a `(condition, seed)`
 //! pair fork one warmed simulator). Reports trials/sec for both modes,
 //! asserts they produce bit-identical cells, prints a speedup table, and
-//! writes a machine-readable `BENCH_experiments.json` to the workspace
-//! root so the perf trajectory is comparable across PRs. The parallel
+//! records the `table1_harness` section of `BENCH_experiments.json` at
+//! the workspace root so the perf trajectory is comparable across PRs
+//! (`-- --test` validates without writing). The parallel
 //! flat-queue runner (`run_table1_on`) is measured separately so the
 //! fork-sharing win is not conflated with thread parallelism.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use nodesel_apps::AppModel;
 use nodesel_experiments::table1::{run_table1_on, Table1Config};
 use nodesel_experiments::{
-    run_trial, warm_trial, Condition, Strategy, Testbed, TrialConfig, TrialResult,
+    record, run_trial, warm_trial, Condition, Strategy, Testbed, TrialConfig, TrialResult,
 };
 use std::hint::black_box;
 use std::time::Instant;
@@ -79,7 +79,7 @@ fn median(samples: &mut [f64]) -> f64 {
     samples[samples.len() / 2]
 }
 
-fn emit_summary(c: &mut Criterion) {
+fn main() {
     let testbed = Testbed::cmu();
     let cfg = TrialConfig::default();
     let trials = GROUPS * suite_cells().len();
@@ -150,7 +150,6 @@ fn emit_summary(c: &mut Criterion) {
     );
 
     let summary = serde_json::json!({
-        "bench": "table1_harness",
         "testbed": "cmu",
         "warmup_secs": cfg.warmup,
         "groups": GROUPS,
@@ -165,22 +164,16 @@ fn emit_summary(c: &mut Criterion) {
             "threads": std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1),
         },
     });
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_experiments.json");
-    match std::fs::write(path, format!("{:#}\n", summary)) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-
-    let mut group = c.benchmark_group("table1_harness");
-    group.sample_size(10);
-    group.bench_function("straight_through", |bch| {
-        bch.iter(|| black_box(straight_through(&testbed, &cfg)))
-    });
-    group.bench_function("warm_fork", |bch| {
-        bch.iter(|| black_box(warm_fork(&testbed, &cfg)))
-    });
-    group.finish();
+    record(
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_experiments.json"),
+        "table1_harness",
+        summary,
+        |doc| {
+            let speedup = &doc["table1_harness"]["fork_sharing_speedup"];
+            assert!(
+                speedup.is_number(),
+                "table1_harness section lost its headline"
+            );
+        },
+    );
 }
-
-criterion_group!(benches, emit_summary);
-criterion_main!(benches);

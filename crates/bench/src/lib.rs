@@ -55,31 +55,6 @@ pub fn federated(k: usize, trunk_latency: Option<f64>) -> (Topology, Vec<Vec<Nod
     nodesel_topology::builders::federation(k, trunk_latency)
 }
 
-/// First line of `program args...`'s output; `"unknown"` when it cannot
-/// run.
-fn tool_line(program: &str, args: &[&str]) -> String {
-    std::process::Command::new(program)
-        .args(args)
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .and_then(|text| text.lines().next().map(str::to_owned))
-        .unwrap_or_else(|| "unknown".to_owned())
-}
-
-/// The `provenance` block of a `BENCH_*.json` this crate's benches
-/// write: the commit and toolchain that produced the numbers, the cores
-/// they ran on, and that a bench (not a one-off probe) made them.
-pub fn provenance() -> serde_json::Value {
-    serde_json::json!({
-        "commit": tool_line("git", &["describe", "--always", "--dirty"]),
-        "rustc": tool_line("rustc", &["-V"]),
-        "cores": std::thread::available_parallelism().map_or(1, usize::from),
-        "harness": "bench",
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,15 +68,6 @@ mod tests {
 
         let (conn, _) = federated(3, Some(2e-3));
         assert!(conn.is_connected());
-    }
-
-    #[test]
-    fn provenance_names_commit_toolchain_cores_and_harness() {
-        let p = provenance();
-        for key in ["commit", "rustc", "harness"] {
-            assert!(p[key].is_string(), "provenance lost `{key}`");
-        }
-        assert!(p["cores"].as_u64().is_some_and(|c| c >= 1));
     }
 
     #[test]

@@ -22,9 +22,10 @@
 //!
 //! The paper spells the loops out literally — rescan every edge for the
 //! minimum, then rebuild every component — which is O(E²). This module
-//! keeps those literal loops as *references*
-//! ([`max_bandwidth_reference`], [`balanced_reference`]) and routes the
-//! public entry points through observably equivalent near-linear engines:
+//! keeps those literal loops as *references* (`max_bandwidth_reference`,
+//! `balanced_reference`; exported under the `oracle` feature only) and
+//! routes the public entry points through observably equivalent
+//! near-linear engines:
 //!
 //! * `max_bandwidth` runs reverse-deletion Kruskal on a
 //!   [`nodesel_topology::UnionFind`]: edges are sorted once by descending
@@ -318,10 +319,9 @@ fn max_compute_in<T: NetMetrics>(net: &T, m: usize, constraints: &Constraints) -
 /// bandwidth objective and helps the secondary one.
 ///
 /// Runs as reverse-deletion Kruskal in O(E log E) (see the module docs);
-/// requests with `required` nodes take the faithful
-/// [`max_bandwidth_reference`] loop, whose stopping rule inspects a
-/// specific component each round and is not expressible as a single
-/// union-find sweep.
+/// requests with `required` nodes take the faithful Figure 2 deletion
+/// loop, whose stopping rule inspects a specific component each round
+/// and is not expressible as a single union-find sweep.
 pub fn max_bandwidth(
     topo: &Topology,
     m: usize,
@@ -356,6 +356,7 @@ fn max_bandwidth_in<T: NetMetrics>(net: &T, m: usize, constraints: &Constraints)
 /// The faithful Figure 2 deletion loop, kept as the O(E²) reference the
 /// fast path is asserted against (debug builds and the parity property
 /// tests compare full [`Selection`]s).
+#[cfg(any(test, feature = "oracle"))]
 pub fn max_bandwidth_reference(
     topo: &Topology,
     m: usize,
@@ -524,6 +525,7 @@ fn balanced_in<T: NetMetrics>(
 /// The faithful Figure 3 deletion loop — rescan every edge, rebuild every
 /// component, re-pick every candidate set, each round — kept as the O(E²)
 /// reference the incremental engine is asserted against.
+#[cfg(any(test, feature = "oracle"))]
 pub fn balanced_reference(
     topo: &Topology,
     m: usize,
@@ -539,6 +541,9 @@ pub fn balanced_reference(
     balanced_loop(&ctx, weights, constraints, policy)
 }
 
+// Compiled wherever something runs it: the debug parity assert in
+// `balanced_in`, and the oracle wrapper above.
+#[cfg(any(debug_assertions, test, feature = "oracle"))]
 fn balanced_loop<T: NetMetrics>(
     ctx: &Context<T>,
     weights: Weights,

@@ -16,8 +16,9 @@
 //! * a chunked scoped-thread fan-out over the first subset element, with a
 //!   shared atomic best-so-far tightening every worker's pruning bound.
 //!
-//! [`exhaustive_select_reference`] is the original single-thread, unpruned
-//! oracle; the property tests assert the two agree on the full
+//! `exhaustive_select_reference` (exported under the `oracle` feature
+//! only) is the original single-thread, unpruned oracle; the property
+//! tests assert the two agree on the full
 //! [`Selection`](crate::Selection), including tie-breaking toward the
 //! lexicographically smallest node set.
 
@@ -339,7 +340,7 @@ fn scan_first(
 /// deterministic and directly comparable with the greedy algorithms.
 ///
 /// This is the pruned, parallel oracle (see the module docs); it returns
-/// exactly what [`exhaustive_select_reference`] returns, only faster.
+/// exactly what the unpruned single-thread search returns, only faster.
 pub fn exhaustive_select(
     topo: &Topology,
     m: usize,
@@ -451,6 +452,7 @@ fn eligible_pool(topo: &Topology, constraints: &Constraints) -> Vec<NodeId> {
 /// The original brute-force oracle: single thread, no pruning, one full
 /// [`evaluate`] per subset. Kept verbatim as the baseline the pruned
 /// parallel search is tested (and benchmarked) against.
+#[cfg(any(test, feature = "oracle"))]
 pub fn exhaustive_select_reference(
     topo: &Topology,
     m: usize,

@@ -52,11 +52,14 @@
 //!
 //! The public greedy entry points run near-linear sorted-edge/union-find
 //! engines instead of the paper's literal O(E²) loops; the literal loops
-//! survive as [`max_bandwidth_reference`] and [`balanced_reference`] and
-//! are asserted byte-identical in debug builds and in the
-//! `fastpath_parity` property tests. [`exhaustive_select`] prunes and
-//! parallelizes the subset search, with
-//! [`exhaustive_select_reference`] as the unpruned baseline.
+//! stay as the oracles those engines are asserted byte-identical to, in
+//! every debug build and in the `fastpath_parity` property tests.
+//! [`exhaustive_select`] prunes and parallelizes the subset search
+//! against an unpruned baseline kept the same way. The oracles are test
+//! fixtures, not API: their three entry points are exported only under
+//! the `oracle` cargo feature, which the parity suites and the
+//! `selection_fastpath` bench enable (`cargo doc --features oracle`
+//! documents them).
 //!
 //! For a stream of measurement epochs, every request is one fresh solve;
 //! the [`selector`] module's [`Selector`]s also report the
@@ -96,15 +99,14 @@ pub mod supervisor;
 pub mod twolevel;
 mod weights;
 
-pub use algorithms::{
-    balanced, balanced_reference, max_bandwidth, max_bandwidth_reference, max_compute, select,
-    Selection,
-};
+pub use algorithms::{balanced, max_bandwidth, max_compute, select, Selection};
+#[cfg(any(test, feature = "oracle"))]
+pub use algorithms::{balanced_reference, max_bandwidth_reference};
 pub use baseline::{random_selection, static_selection};
 pub use canonical::CanonicalRequest;
-pub use exhaustive::{
-    exhaustive_select, exhaustive_select_reference, Combinations, ExhaustiveObjective,
-};
+#[cfg(any(test, feature = "oracle"))]
+pub use exhaustive::exhaustive_select_reference;
+pub use exhaustive::{exhaustive_select, Combinations, ExhaustiveObjective};
 pub use groups::{select_groups, GroupSpec, GroupedRequest, GroupedSelection};
 pub use latency::{pairwise_latency, select_within_latency};
 pub use quality::{evaluate, evaluate_in, PairwiseCache, Quality};

@@ -7,6 +7,7 @@
 use nodesel_experiments::chaos::{
     render_chaos_table, run_chaos, run_soak, ChaosConfig, ChaosOutcome, SoakReport, CHAOS_PHASES,
 };
+use nodesel_experiments::{record, smoke_requested};
 
 /// Panics unless `doc` carries the chaos section this driver (and the
 /// CI smoke step) promises: the schema-drift tripwire plus the headline
@@ -213,7 +214,7 @@ fn section_json(
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = smoke_requested();
     let config = if smoke {
         ChaosConfig::smoke()
     } else {
@@ -242,33 +243,10 @@ fn main() {
         if soak.balanced { "balanced" } else { "BROKEN" }
     );
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_chaos.json");
-    let mut doc = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|s| serde_json::from_str::<serde_json::Value>(&s).ok())
-        .filter(|v| v.as_object().is_some())
-        .unwrap_or_else(|| serde_json::json!({}));
-    let section = section_json(smoke, &config, &outcome, &soak);
-    if smoke {
-        // CI validates the shape and the headline claims without
-        // overwriting the committed full-run numbers.
-        let mut probe = doc.clone();
-        probe["chaos"] = section;
-        validate_schema(&probe);
-        println!("smoke run: schema and headline claims validated, {path} left untouched");
-        if doc.get("chaos").is_some() {
-            validate_schema(&doc);
-        }
-        return;
-    }
-    doc["chaos"] = section;
-    validate_schema(&doc);
-    match std::fs::write(path, format!("{:#}\n", doc)) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => println!("could not write {path}: {e}"),
-    }
-    let reread: serde_json::Value =
-        serde_json::from_str(&std::fs::read_to_string(path).expect("just wrote the study summary"))
-            .expect("study summary is valid JSON");
-    validate_schema(&reread);
+    record(
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_chaos.json"),
+        "chaos",
+        section_json(smoke, &config, &outcome, &soak),
+        validate_schema,
+    );
 }

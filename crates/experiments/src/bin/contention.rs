@@ -6,6 +6,7 @@
 use nodesel_experiments::contention::{
     render_contention_table, run_contention_study, ContentionConfig, ContentionOutcome,
 };
+use nodesel_experiments::{record, smoke_requested};
 
 /// Panics unless `doc` carries the contention section this driver (and
 /// the CI smoke step) promises: the schema-drift tripwire.
@@ -94,7 +95,7 @@ fn cell_json(c: &ContentionOutcome) -> serde_json::Value {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = smoke_requested();
     let (config, ks): (ContentionConfig, Vec<usize>) = if smoke {
         (
             ContentionConfig {
@@ -117,40 +118,17 @@ fn main() {
     let cells = run_contention_study(&ks, &config);
     print!("{}", render_contention_table(&cells));
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_contention.json");
-    let mut doc = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|s| serde_json::from_str::<serde_json::Value>(&s).ok())
-        .filter(|v| v.as_object().is_some())
-        .unwrap_or_else(|| serde_json::json!({}));
-    let section = serde_json::json!({
-        "smoke": smoke,
-        "m": config.m,
-        "iterations": config.iterations,
-        "reference_bandwidth": config.reference_bandwidth,
-        "ks": ks,
-        "cells": cells.iter().map(cell_json).collect::<Vec<_>>(),
-    });
-    if smoke {
-        // CI validates the shape and the headline inequality without
-        // overwriting the committed full-run numbers.
-        let mut probe = doc.clone();
-        probe["contention"] = section;
-        validate_schema(&probe);
-        println!("smoke run: schema and headline validated, {path} left untouched");
-        if doc.get("contention").is_some() {
-            validate_schema(&doc);
-        }
-        return;
-    }
-    doc["contention"] = section;
-    validate_schema(&doc);
-    match std::fs::write(path, format!("{:#}\n", doc)) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => println!("could not write {path}: {e}"),
-    }
-    let reread: serde_json::Value =
-        serde_json::from_str(&std::fs::read_to_string(path).expect("just wrote the study summary"))
-            .expect("study summary is valid JSON");
-    validate_schema(&reread);
+    record(
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_contention.json"),
+        "contention",
+        serde_json::json!({
+            "smoke": smoke,
+            "m": config.m,
+            "iterations": config.iterations,
+            "reference_bandwidth": config.reference_bandwidth,
+            "ks": ks,
+            "cells": cells.iter().map(cell_json).collect::<Vec<_>>(),
+        }),
+        validate_schema,
+    );
 }

@@ -3,8 +3,15 @@
 //! Usage: `table1 [repetitions] [seed]` (defaults: 24 reps, fixed seed).
 //! Emits the measured table, the paper's table, and the headline
 //! increase-ratio metric. Add `--json` to also dump machine-readable rows.
+//! Exits non-zero when the headline leaves [`HEADLINE_BAND`]: the CI
+//! step that runs this bin is the reproduction guard.
 
 use nodesel_experiments::table1::{paper_table1, run_table1, Table1Config};
+
+/// Where `Table1::mean_increase_ratio` must land: 0.26 measured at 24
+/// repetitions, ≈ 0.5 in the paper. If a short run lands outside, raise
+/// its repetition count, not the band.
+const HEADLINE_BAND: std::ops::RangeInclusive<f64> = 0.15..=0.55;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -35,5 +42,14 @@ fn main() {
     }
     if json {
         println!("{}", serde_json::to_string_pretty(&table).unwrap());
+    }
+    let headline = table.mean_increase_ratio();
+    if !HEADLINE_BAND.contains(&headline) {
+        eprintln!(
+            "Table 1 headline ratio {headline:.3} is outside [{}, {}]: not the paper's result",
+            HEADLINE_BAND.start(),
+            HEADLINE_BAND.end()
+        );
+        std::process::exit(1);
     }
 }

@@ -22,7 +22,7 @@ use nodesel_core::{
 };
 use nodesel_loadgen::{install_load, install_traffic, LoadConfig, TrafficConfig};
 use nodesel_remos::{CollectorConfig, Estimator, Remos};
-use nodesel_simnet::{FlowEngine, Sim, DEFAULT_LOAD_AVG_TAU};
+use nodesel_simnet::{Sim, DEFAULT_LOAD_AVG_TAU};
 use nodesel_topology::testbeds::cmu_testbed;
 use nodesel_topology::{NodeId, RouteTable, Topology};
 use rand::rngs::StdRng;
@@ -113,10 +113,6 @@ pub struct TrialConfig {
     pub estimator: Estimator,
     /// Seconds of warm-up before selection + launch.
     pub warmup: f64,
-    /// Flow engine the simulator runs on. Both engines produce
-    /// bit-identical trials; `Reference` exists for oracle checks and
-    /// benchmarking.
-    pub engine: FlowEngine,
 }
 
 impl Default for TrialConfig {
@@ -127,7 +123,6 @@ impl Default for TrialConfig {
             collector: CollectorConfig::default(),
             estimator: Estimator::Latest,
             warmup: 1800.0,
-            engine: FlowEngine::default(),
         }
     }
 }
@@ -166,12 +161,11 @@ impl Testbed {
 
     /// A fresh simulator over the shared graph. O(nodes): the topology
     /// and route table are reference-counted, not copied.
-    pub fn sim(&self, engine: FlowEngine) -> Sim {
+    pub fn sim(&self) -> Sim {
         Sim::with_shared(
             Arc::clone(&self.topo),
             Arc::clone(&self.routes),
             DEFAULT_LOAD_AVG_TAU,
-            engine,
         )
     }
 }
@@ -193,7 +187,30 @@ pub fn warm_trial(
     config: &TrialConfig,
     seed: u64,
 ) -> WarmTrial {
-    let mut sim = testbed.sim(config.engine);
+    warm(testbed.sim(), testbed, condition, config, seed)
+}
+
+/// [`warm_trial`] on a simulator the caller built over `testbed`'s
+/// graph: how `engine_parity` runs a whole trial on the reference flow
+/// engine, which nothing outside the `oracle` feature can construct.
+#[cfg(any(test, feature = "oracle"))]
+pub fn warm_trial_on(
+    sim: Sim,
+    testbed: &Testbed,
+    condition: Condition,
+    config: &TrialConfig,
+    seed: u64,
+) -> WarmTrial {
+    warm(sim, testbed, condition, config, seed)
+}
+
+fn warm(
+    mut sim: Sim,
+    testbed: &Testbed,
+    condition: Condition,
+    config: &TrialConfig,
+    seed: u64,
+) -> WarmTrial {
     // The maintained snapshot stream follows the trial's estimator, so
     // the automatic strategy sees exactly what the per-query path would.
     let remos = Remos::install(

@@ -8,6 +8,9 @@
 //! * [`fault_study`] — random vs automatic vs supervised placement
 //!   racing seeded fault plans (node crashes, optional reboots) against
 //!   a deadline;
+//! * [`bench_json`] — the one writer of the committed `BENCH_*.json`
+//!   files (provenance, history, no writes on a smoke run), shared by the
+//!   studies here and the benches in `nodesel-bench`;
 //! * [`driver`] — the single-trial machinery both are built on, reusable
 //!   by the Criterion benches and ablations. Trials split at the warm-up
 //!   boundary: a warmed simulator is [`nodesel_simnet::Sim::fork`]ed per
@@ -21,6 +24,7 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
+pub mod bench_json;
 pub mod chaos;
 pub mod contention;
 pub mod driver;
@@ -31,6 +35,7 @@ pub mod sensitivity;
 pub mod table1;
 pub mod tomography;
 
+pub use bench_json::{record, smoke_requested};
 pub use chaos::{
     render_chaos_table, run_chaos, run_soak, ChaosConfig, ChaosOutcome, ChaosPhase, PhaseCounts,
     ReconcileTotals, RepairSummary, SoakReport, CHAOS_PHASES,
@@ -39,6 +44,8 @@ pub use contention::{
     render_contention_table, run_contention, run_contention_study, ContentionConfig,
     ContentionOutcome, ContentionRegime, ContentionTestbed,
 };
+#[cfg(any(test, feature = "oracle"))]
+pub use driver::warm_trial_on;
 pub use driver::{
     mean, run_trial, run_trials, warm_trial, Condition, Strategy, Testbed, TrialConfig,
     TrialResult, WarmTrial,

@@ -17,13 +17,15 @@
 //!   panic, and any selection they do return uses only nodes believed
 //!   available.
 
+mod common;
+
+use common::decode_fault_plan;
 use nodesel_core::{selector_for, SelectError, SelectionRequest};
 use nodesel_experiments::Testbed;
 use nodesel_loadgen::{install_load, LoadConfig};
 use nodesel_remos::{CollectorConfig, Remos};
-use nodesel_simnet::{install_faults, FaultAction, FaultPlan, Flap, FlapTarget, FlowEngine};
-use nodesel_topology::testbeds::cmu_testbed;
-use nodesel_topology::{staleness_confidence, Direction, EdgeId, NetMetrics, NetSnapshot, NodeId};
+use nodesel_simnet::install_faults;
+use nodesel_topology::{staleness_confidence, Direction, NetMetrics, NetSnapshot};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -39,52 +41,6 @@ const PERIOD: f64 = 2.0;
 /// interval can contain (`EPOCH_SECS / PERIOD`, plus one for boundary
 /// ticks), so the value must be bit-frozen since the previous poll.
 const FROZEN_AT: u32 = (EPOCH_SECS / PERIOD) as u32 + 1;
-
-fn decode_plan(
-    raw_sched: &[(u32, u8, u16)],
-    raw_flaps: &[(u8, u16, u32, u32)],
-    seed: u64,
-) -> FaultPlan {
-    let tb = cmu_testbed();
-    let edges: Vec<EdgeId> = tb.topo.edge_ids().collect();
-    let machines: Vec<NodeId> = tb.machines.clone();
-    let pick_e = |i: u16| edges[i as usize % edges.len()];
-    let pick_m = |i: u16| machines[i as usize % machines.len()];
-    let group = |i: u16| -> Vec<NodeId> {
-        (0..1 + i as usize % 4)
-            .map(|k| machines[(i as usize + k) % machines.len()])
-            .collect()
-    };
-    FaultPlan {
-        scheduled: raw_sched
-            .iter()
-            .map(|&(t, kind, idx)| {
-                let action = match kind % 6 {
-                    0 => FaultAction::LinkDown(pick_e(idx)),
-                    1 => FaultAction::LinkUp(pick_e(idx)),
-                    2 => FaultAction::CrashNode(pick_m(idx)),
-                    3 => FaultAction::RebootNode(pick_m(idx)),
-                    4 => FaultAction::Partition(group(idx)),
-                    _ => FaultAction::Heal(group(idx)),
-                };
-                (t as f64 * 0.1, action)
-            })
-            .collect(),
-        flaps: raw_flaps
-            .iter()
-            .map(|&(kind, idx, up, down)| Flap {
-                target: if kind % 2 == 0 {
-                    FlapTarget::Link(pick_e(idx))
-                } else {
-                    FlapTarget::Node(pick_m(idx))
-                },
-                mean_up: 0.5 + up as f64 * 0.01,
-                mean_down: 0.5 + down as f64 * 0.01,
-            })
-            .collect(),
-        seed,
-    }
-}
 
 /// The freshness contract between two successive snapshots of the same
 /// entity: exact confidence law, strict decay while the run grows, and
@@ -122,10 +78,6 @@ fn check_freshness(
     Ok(())
 }
 
-fn engines() -> impl Strategy<Value = FlowEngine> {
-    prop_oneof![Just(FlowEngine::Incremental), Just(FlowEngine::Reference)]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -136,10 +88,9 @@ proptest! {
         raw_sched in proptest::collection::vec((0u32..6000, 0u8..6, 0u16..1024), 0..12),
         raw_flaps in proptest::collection::vec(
             (0u8..2, 0u16..1024, 0u32..1500, 0u32..1500), 1..5),
-        engine in engines(),
     ) {
         let testbed = Testbed::cmu();
-        let mut sim = testbed.sim(engine);
+        let mut sim = testbed.sim();
         let remos = Remos::install(
             &mut sim,
             CollectorConfig {
@@ -156,7 +107,7 @@ proptest! {
             LoadConfig::paper_defaults(),
             seed ^ 0x10AD,
         );
-        install_faults(&mut sim, &decode_plan(&raw_sched, &raw_flaps, seed ^ 0xFA));
+        install_faults(&mut sim, &decode_fault_plan(&raw_sched, &raw_flaps, 0.5, seed ^ 0xFA));
 
         // One request per objective, re-selected every epoch.
         let requests = [

@@ -1,28 +1,29 @@
 //! Fork parity proptests: continuing a trial from a forked warm state
 //! must be bit-identical to running it straight through with the same
 //! seed — same turnaround bits, same selected nodes — for arbitrary
-//! seeds, every strategy, every background condition, and both flow
-//! engines. This is the trial-level face of the fork tests in
+//! seeds, every strategy and every background condition, on the flow
+//! engine that ships. This is the trial-level face of the fork tests in
 //! `nodesel-simnet`, and the property the shared-warmup batch runners
 //! stand on.
 
+mod common;
+
+use common::decode_fault_plan;
 use nodesel_apps::AppModel;
 use nodesel_experiments::{
     run_trial, warm_trial, Condition, Strategy as Placement, Testbed, TrialConfig,
 };
 use nodesel_loadgen::{install_load, LoadConfig};
 use nodesel_remos::{CollectorConfig, Remos};
-use nodesel_simnet::{install_faults, FaultAction, FaultPlan, Flap, FlapTarget, FlowEngine, Sim};
-use nodesel_topology::testbeds::cmu_testbed;
-use nodesel_topology::{Direction, EdgeId, NetMetrics, NodeId};
+use nodesel_simnet::{install_faults, Sim};
+use nodesel_topology::{Direction, NetMetrics};
 use proptest::prelude::*;
 
-fn config(engine: FlowEngine) -> TrialConfig {
+fn config() -> TrialConfig {
     TrialConfig {
         // Short warm-up keeps each case affordable; parity must hold at
         // any boundary, so the length is irrelevant to the property.
         warmup: 150.0,
-        engine,
         ..TrialConfig::default()
     }
 }
@@ -43,63 +44,6 @@ fn placements() -> impl Strategy<Value = Placement> {
         Just(Placement::Oracle),
         Just(Placement::Static),
     ]
-}
-
-fn engines() -> impl Strategy<Value = FlowEngine> {
-    prop_oneof![Just(FlowEngine::Incremental), Just(FlowEngine::Reference)]
-}
-
-/// Decodes raw proptest words into a `FaultPlan` over the CMU testbed:
-/// scheduled actions in `[0, 900)` s plus stochastic flaps with short
-/// dwells. Times are tenths of a second; indices wrap over the edge and
-/// machine lists so every draw is valid.
-fn decode_fault_plan(
-    raw_sched: &[(u32, u8, u16)],
-    raw_flaps: &[(u8, u16, u32, u32)],
-    seed: u64,
-) -> FaultPlan {
-    let tb = cmu_testbed();
-    let edges: Vec<EdgeId> = tb.topo.edge_ids().collect();
-    let machines: Vec<NodeId> = tb.machines.clone();
-    let pick_e = |i: u16| edges[i as usize % edges.len()];
-    let pick_m = |i: u16| machines[i as usize % machines.len()];
-    let group = |i: u16| -> Vec<NodeId> {
-        let len = 1 + i as usize % 4;
-        (0..len)
-            .map(|k| machines[(i as usize + k) % machines.len()])
-            .collect()
-    };
-    let scheduled = raw_sched
-        .iter()
-        .map(|&(t, kind, idx)| {
-            let action = match kind % 6 {
-                0 => FaultAction::LinkDown(pick_e(idx)),
-                1 => FaultAction::LinkUp(pick_e(idx)),
-                2 => FaultAction::CrashNode(pick_m(idx)),
-                3 => FaultAction::RebootNode(pick_m(idx)),
-                4 => FaultAction::Partition(group(idx)),
-                _ => FaultAction::Heal(group(idx)),
-            };
-            (t as f64 * 0.1, action)
-        })
-        .collect();
-    let flaps = raw_flaps
-        .iter()
-        .map(|&(kind, idx, up, down)| Flap {
-            target: if kind % 2 == 0 {
-                FlapTarget::Link(pick_e(idx))
-            } else {
-                FlapTarget::Node(pick_m(idx))
-            },
-            mean_up: 1.0 + up as f64 * 0.01,
-            mean_down: 0.5 + down as f64 * 0.01,
-        })
-        .collect();
-    FaultPlan {
-        scheduled,
-        flaps,
-        seed,
-    }
 }
 
 /// Every observable a fault touches must agree bitwise between two sims:
@@ -154,12 +98,11 @@ proptest! {
         app_idx in 0usize..3,
         condition in conditions(),
         placement in placements(),
-        engine in engines(),
     ) {
         let testbed = Testbed::cmu();
         let suite = AppModel::paper_suite();
         let (app, m) = &suite[app_idx];
-        let cfg = config(engine);
+        let cfg = config();
 
         let warm = warm_trial(&testbed, condition, &cfg, seed);
         let forked = warm.fork().finish(app, *m, placement);
@@ -168,8 +111,8 @@ proptest! {
         prop_assert_eq!(
             forked.elapsed.to_bits(),
             straight.elapsed.to_bits(),
-            "elapsed diverged: {} {:?} {:?} {:?} seed {}",
-            app.name(), placement, condition, engine, seed
+            "elapsed diverged: {} {:?} {:?} seed {}",
+            app.name(), placement, condition, seed
         );
         prop_assert_eq!(forked.nodes, straight.nodes, "selection diverged");
     }
@@ -182,12 +125,11 @@ proptest! {
         seed in 0u64..1_000_000,
         app_idx in 0usize..3,
         condition in conditions(),
-        engine in engines(),
     ) {
         let testbed = Testbed::cmu();
         let suite = AppModel::paper_suite();
         let (app, m) = &suite[app_idx];
-        let cfg = config(engine);
+        let cfg = config();
 
         let warm = warm_trial(&testbed, condition, &cfg, seed);
         let fork_a = warm.fork();
@@ -223,12 +165,11 @@ proptest! {
         raw_sched in proptest::collection::vec((0u32..9000, 0u8..6, 0u16..1024), 1..10),
         raw_flaps in proptest::collection::vec(
             (0u8..2, 0u16..1024, 0u32..3000, 0u32..3000), 0..4),
-        engine in engines(),
     ) {
         let testbed = Testbed::cmu();
-        let plan = decode_fault_plan(&raw_sched, &raw_flaps, seed ^ 0xFA);
+        let plan = decode_fault_plan(&raw_sched, &raw_flaps, 1.0, seed ^ 0xFA);
         let build = || {
-            let mut sim = testbed.sim(engine);
+            let mut sim = testbed.sim();
             let remos = Remos::install(
                 &mut sim,
                 CollectorConfig {

@@ -1,6 +1,8 @@
 //! The discrete-event engine tying hosts, flows and user events together.
 
-use crate::flows::{FlowEngine, FlowId, FlowTable};
+#[cfg(any(test, feature = "oracle"))]
+use crate::flows::FlowEngine;
+use crate::flows::{FlowId, FlowTable};
 use crate::host::{Host, TaskId};
 use crate::time::{EventKey, SimTime};
 use crate::trace::{TraceEvent, Tracer};
@@ -198,19 +200,18 @@ impl Sim {
 
     /// Like [`Sim::new`] with an explicit load-average time constant.
     pub fn with_load_avg_tau(topo: Topology, tau: f64) -> Self {
-        Self::with_config(topo, tau, FlowEngine::default())
-    }
-
-    /// Like [`Sim::new`] with an explicit flow-engine choice — used by the
-    /// parity tests and the `flow_engine` bench to pit the incremental
-    /// engine against the full-recompute reference.
-    pub fn with_flow_engine(topo: Topology, engine: FlowEngine) -> Self {
-        Self::with_config(topo, DEFAULT_LOAD_AVG_TAU, engine)
-    }
-
-    fn with_config(topo: Topology, tau: f64, engine: FlowEngine) -> Self {
         let routes = Arc::new(RouteTable::build(&topo));
-        Self::with_shared(Arc::new(topo), routes, tau, engine)
+        Self::with_shared(Arc::new(topo), routes, tau)
+    }
+
+    /// Like [`Sim::new`] on an explicit flow engine: how the parity
+    /// tests and the `flow_engine` bench pit the incremental engine
+    /// against the full-recompute reference.
+    #[cfg(any(test, feature = "oracle"))]
+    pub fn with_flow_engine(topo: Topology, engine: FlowEngine) -> Self {
+        let mut sim = Self::new(topo);
+        sim.flows = FlowTable::with_engine(&sim.topo, engine);
+        sim
     }
 
     /// Builds a simulator over an `Arc`-shared topology and prebuilt route
@@ -221,12 +222,7 @@ impl Sim {
     ///
     /// `routes` must have been built from `topo` (all route resolution
     /// goes through it).
-    pub fn with_shared(
-        topo: Arc<Topology>,
-        routes: Arc<RouteTable>,
-        tau: f64,
-        engine: FlowEngine,
-    ) -> Self {
+    pub fn with_shared(topo: Arc<Topology>, routes: Arc<RouteTable>, tau: f64) -> Self {
         let hosts: Vec<Option<Host>> = topo
             .node_ids()
             .map(|id| {
@@ -235,7 +231,7 @@ impl Sim {
             })
             .collect();
         let host_generation = vec![0; hosts.len()];
-        let flows = FlowTable::with_engine(&topo, engine);
+        let flows = FlowTable::new(&topo);
         let node_up = vec![true; hosts.len()];
         let link_up = vec![true; topo.link_count()];
         Sim {

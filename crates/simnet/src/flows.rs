@@ -15,7 +15,7 @@
 //! *sharing graph* (flows are vertices-of-one-side, directed links the
 //! other; a flow touches the links it crosses): progressive filling never
 //! moves bandwidth between components. [`FlowTable`] exploits that three
-//! ways ([`FlowEngine::Incremental`], the default):
+//! ways:
 //!
 //! * **Sharing-cluster reallocation** — a link↔flow incidence index lets
 //!   [`FlowTable::add_flow`]/[`FlowTable::remove_flow`] re-solve only the
@@ -36,11 +36,17 @@
 //!   byte counters likewise accumulate on rate change and extrapolate on
 //!   read, so the SNMP-style measurement layer sees exact values.
 //!
-//! [`FlowEngine::Reference`] keeps the paper-style full recompute (global
-//! progressive filling, O(flows) completion scan, no heap) on the *same*
-//! state layout: both engines produce bit-identical observable state
-//! (asserted in debug builds after every incremental re-solve, and by the
-//! `flow_parity` proptest suite over random churn sequences).
+//! # Reference oracle
+//!
+//! The paper-style full recompute (global progressive filling, O(flows)
+//! completion scan, no heap) survives as a test fixture on the *same*
+//! state layout: `FlowEngine::Reference`, which exists only under
+//! `cfg(test)` and the `oracle` cargo feature (the `flow_parity` suite
+//! and the `flow_engine` bench opt in). Both engines produce
+//! bit-identical observable state — asserted in every debug build after
+//! each cluster re-solve, and by `flow_parity` over random churn
+//! sequences. No caller picks an engine: a build without the feature has
+//! one, and no branch on which.
 
 use crate::time::SimTime;
 use nodesel_topology::maxmin::{max_min_allocate_into, MaxMinScratch};
@@ -67,7 +73,9 @@ impl DirLink {
     }
 }
 
-/// Which reallocation strategy a [`FlowTable`] runs.
+/// Which reallocation strategy a [`FlowTable`] runs. Exported, and
+/// two-valued, only under `cfg(test)` and the `oracle` feature; every
+/// other build has the one variant, so a test on it is a constant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FlowEngine {
     /// Cluster-scoped re-solves, completion heap, lazy settlement:
@@ -77,6 +85,7 @@ pub enum FlowEngine {
     /// Full recompute on every change and a linear completion scan:
     /// O(flows · hops) per flow event. The oracle the incremental engine
     /// is checked against; also the baseline of the `flow_engine` bench.
+    #[cfg(any(test, feature = "oracle"))]
     Reference,
 }
 
@@ -99,8 +108,8 @@ struct Flow {
     /// rate change only pushes when its prediction beats this bound, and
     /// a stale designated entry is re-queued at pop time — so the heap
     /// holds about one entry per live flow instead of one per rate
-    /// change. Always `NEVER` under [`FlowEngine::Reference`], which
-    /// never touches the heap.
+    /// change. Always `NEVER` under the reference oracle, which never
+    /// touches the heap.
     queued: SimTime,
     /// Directed-link slots traversed, in order (the slab entry keeps its
     /// buffer across reuse, so steady-state churn does not allocate).
@@ -202,14 +211,8 @@ pub struct FlowTable {
 }
 
 impl FlowTable {
-    /// Creates an empty table for the given topology's link capacities,
-    /// running the default incremental engine.
+    /// Creates an empty table for the given topology's link capacities.
     pub fn new(topo: &Topology) -> Self {
-        Self::with_engine(topo, FlowEngine::default())
-    }
-
-    /// Like [`FlowTable::new`] with an explicit engine choice.
-    pub fn with_engine(topo: &Topology, engine: FlowEngine) -> Self {
         let mut capacity = vec![0.0; topo.link_count() * 2];
         for e in topo.edge_ids() {
             for dir in [Direction::AtoB, Direction::BtoA] {
@@ -218,7 +221,7 @@ impl FlowTable {
         }
         let slots = capacity.len();
         FlowTable {
-            engine,
+            engine: FlowEngine::Incremental,
             flows: Vec::new(),
             free: Vec::new(),
             by_id: HashMap::new(),
@@ -234,7 +237,18 @@ impl FlowTable {
         }
     }
 
+    /// Like [`FlowTable::new`] on an explicit engine: how the parity
+    /// tests and the `flow_engine` bench build the reference oracle.
+    #[cfg(any(test, feature = "oracle"))]
+    pub fn with_engine(topo: &Topology, engine: FlowEngine) -> Self {
+        FlowTable {
+            engine,
+            ..Self::new(topo)
+        }
+    }
+
     /// The reallocation strategy this table runs.
+    #[cfg(any(test, feature = "oracle"))]
     pub fn engine(&self) -> FlowEngine {
         self.engine
     }
@@ -470,6 +484,7 @@ impl FlowTable {
                     }
                 }
             }
+            #[cfg(any(test, feature = "oracle"))]
             FlowEngine::Reference => {
                 for f in &self.flows {
                     if f.live && f.finish() <= now {
@@ -518,9 +533,9 @@ impl FlowTable {
 
     /// Earliest completion through the completion heap: discards stale
     /// entries (lazy deletion), then answers from the top in O(log heap).
-    /// Falls back to the linear scan for [`FlowEngine::Reference`].
+    /// The reference oracle answers with the linear scan instead.
     pub fn next_wake(&mut self) -> SimTime {
-        if self.engine == FlowEngine::Reference {
+        if self.engine != FlowEngine::Incremental {
             return self.next_completion();
         }
         let top = loop {
@@ -573,6 +588,7 @@ impl FlowTable {
     fn reallocate(&mut self, now: SimTime) {
         match self.engine {
             FlowEngine::Incremental => self.collect_cluster(),
+            #[cfg(any(test, feature = "oracle"))]
             FlowEngine::Reference => self.collect_all(),
         }
         self.solve(now);
@@ -639,6 +655,7 @@ impl FlowTable {
     }
 
     /// Reference collection: every live flow, every slot.
+    #[cfg(any(test, feature = "oracle"))]
     fn collect_all(&mut self) {
         let sc = &mut self.scratch;
         sc.members.clear();

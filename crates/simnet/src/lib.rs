@@ -17,9 +17,11 @@
 //!   octet counters support SNMP-style measurement. Reallocation is
 //!   incremental — only the sharing cluster reachable from a changed
 //!   flow's path is re-solved, completions come from a lazy-deletion
-//!   heap, and flow progress is evaluated closed-form on read — with the
-//!   paper-style full recompute kept as a selectable reference oracle
-//!   ([`FlowEngine`]).
+//!   heap, and flow progress is evaluated closed-form on read. The
+//!   paper-style full recompute is kept as the oracle that engine is
+//!   tested against, compiled only under `cfg(test)` and the `oracle`
+//!   cargo feature (`cargo doc --features oracle` documents it); no
+//!   caller picks an engine.
 //! * **A deterministic event engine** ([`Sim`], the only one): events
 //!   dispatch on one thread in ([`EventKey`]) order — integer-nanosecond
 //!   time, then insertion sequence. One-off actions are closure events; recurring
@@ -71,7 +73,9 @@ pub use engine::{Callback, DriverId, DriverLogic, Sim, SimStats, DEFAULT_LOAD_AV
 pub use fault::{
     install_faults, FaultAction, FaultDriver, FaultPlan, FaultStats, Flap, FlapTarget,
 };
-pub use flows::{DirLink, FlowEngine, FlowId, FlowTable};
+#[cfg(any(test, feature = "oracle"))]
+pub use flows::FlowEngine;
+pub use flows::{DirLink, FlowId, FlowTable};
 pub use host::{Host, TaskId};
 pub use time::{EventKey, SimTime};
 pub use trace::TraceEvent;
