@@ -1,7 +1,7 @@
-//! Scaling sweep: flat growth check plus hierarchical two-level
-//! selection out to n = 100k.
+//! Scaling sweep: flat growth check, hierarchical two-level selection
+//! out to n = 100k, and pooled requests on the same fabrics.
 //!
-//! Two experiments share this bin:
+//! Three experiments share this bin:
 //!
 //! * **Flat growth** — the §3.2 complexity claim on the flat engines: a
 //!   log-log sweep of `balanced` (and, beside it, `max_bandwidth`) over
@@ -22,20 +22,36 @@
 //!   `nodesel-core` guard that), and the mean relative error of the
 //!   landmark bandwidth sketch over sampled cross-domain pairs.
 //!
-//! Results land in `BENCH_scaling.json` under `"scaling"` through
-//! `nodesel_experiments::record` (provenance, history, schema checked
-//! on the written document; the CI smoke step fails on drift).
-//! `--test`/`--smoke` truncates the sweep at n = 2000 and writes
-//! nothing; measured numbers are whatever this machine gives, reported
-//! as measured.
+//! * **Pooled growth** — what a request that names its candidates
+//!   costs: `hierarchical(d, 99)` at n ∈ {1 000, 10 000, 100 000} ×
+//!   an `allowed` pool of {64, 256} hosts × the three objectives, median
+//!   µs per solve through the service's entry
+//!   ([`nodesel_core::selector_for`] on a snapshot), which solves on the
+//!   pool's logical topology. The claim is "flat in n, linear in pool".
+//!   At n = 1 000 — where a 256-host pool is a quarter of the fabric and
+//!   the view is most of the graph — each row also times the whole-graph
+//!   masked solve (`select_masked`, the path every pooled request took
+//!   before and unpooled ones still take), so the one shape where
+//!   building the view could cost more than it saves stays on record.
+//!
+//! Results land in `BENCH_scaling.json` under `"scaling"` and
+//! `"pooled_growth"` through `nodesel_experiments::record` (provenance,
+//! history, schema checked on the written document; the CI smoke step
+//! fails on drift). `--test`/`--smoke` truncates the two-level sweep at
+//! n = 2000 and the pooled one at n = 10 000 and writes nothing;
+//! measured numbers are whatever this machine gives, reported as
+//! measured.
 
 use nodesel_bench::{conditioned_hierarchy, conditioned_tree};
 use nodesel_core::{
-    balanced, max_bandwidth, select, Constraints, GreedyPolicy, Objective, Selection,
-    SelectionRequest, Selector, TwoLevelSelector, Weights,
+    balanced, max_bandwidth, select, select_masked, selector_for, Constraints, GreedyPolicy,
+    Objective, Selection, SelectionRequest, Selector, TwoLevelSelector, Weights,
 };
 use nodesel_experiments::{record, smoke_requested};
-use nodesel_topology::{Hierarchy, NetSnapshot, RouteSketch, RouteTable, Topology};
+use nodesel_topology::{Hierarchy, NetSnapshot, NodeId, RouteSketch, RouteTable, Topology};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -45,6 +61,16 @@ const M: usize = 8;
 /// Exact flat comparisons (and the sketch-error probe) run only up to
 /// this size; beyond it the flat columns are null.
 const EXACT_LIMIT: usize = 2000;
+
+/// The pooled axis: domains of 99 hosts and a hub, so n = 100 × domains.
+const POOLED_DOMAINS: [usize; 3] = [10, 100, 1000];
+
+/// `allowed` pool sizes on the pooled axis.
+const POOLS: [usize; 2] = [64, 256];
+
+/// The masked whole-graph solve is timed beside the pooled one up to
+/// this size (balanced takes 87 s at n = 100 000).
+const MASKED_LIMIT: usize = 1000;
 
 /// The two-level axis: (domains, hosts per domain); each domain also
 /// carries one hub, so n = domains × (hosts + 1). Large fabrics use
@@ -139,6 +165,118 @@ fn validate_schema(doc: &serde_json::Value) {
             "unknown objective label {objective:?}"
         );
     }
+}
+
+/// Panics unless `doc` carries the pooled section in the promised shape.
+fn validate_pooled_schema(doc: &serde_json::Value) {
+    let s = doc
+        .get("pooled_growth")
+        .expect("BENCH_scaling.json lost its pooled_growth section");
+    for key in ["smoke", "m", "iters", "rows"] {
+        assert!(s.get(key).is_some(), "pooled_growth section lost `{key}`");
+    }
+    let rows = s["rows"].as_array().expect("pooled rows is an array");
+    assert!(!rows.is_empty(), "pooled rows is empty");
+    for row in rows {
+        for key in [
+            "n",
+            "pool",
+            "objective",
+            "view_nodes",
+            "select_us",
+            "masked_select_us",
+        ] {
+            assert!(row.get(key).is_some(), "pooled row lost `{key}`: {row}");
+        }
+        assert!(row["select_us"].as_f64().is_some_and(|us| us > 0.0));
+        let small = row["n"].as_u64().expect("n is a count") as usize <= MASKED_LIMIT;
+        assert_eq!(
+            row["masked_select_us"].is_number(),
+            small,
+            "the masked column is filled exactly up to n = {MASKED_LIMIT}: {row}"
+        );
+    }
+}
+
+/// The pooled-growth sweep; see the module docs.
+fn pooled_growth(smoke: bool, iters: usize) {
+    eprintln!("\n=== Pooled requests, m = {M} (median of {iters} solves) ===");
+    eprintln!(
+        "{:>7} {:>5} {:<14} {:>10} {:>11} {:>11}",
+        "n", "pool", "objective", "view_nodes", "select_us", "masked_us"
+    );
+    let mut rows = Vec::new();
+    for &domains in &POOLED_DOMAINS {
+        let n = domains * 100;
+        if smoke && n > 10_000 {
+            continue;
+        }
+        let (topo, members) = conditioned_hierarchy(11, domains, 99);
+        assert_eq!(topo.node_count(), n);
+        let hosts: Vec<NodeId> = members.into_iter().flatten().collect();
+        let snap = NetSnapshot::capture(Arc::new(topo));
+        for &pool_size in &POOLS {
+            let mut rng = StdRng::seed_from_u64(11 + pool_size as u64);
+            let mut pool = HashSet::new();
+            while pool.len() < pool_size {
+                pool.insert(hosts[rng.random_range(0..hosts.len())]);
+            }
+            let members: Vec<NodeId> = pool.iter().copied().collect();
+            let view_nodes = snap
+                .structure_arc()
+                .logical_topology(&members)
+                .expect("hierarchical fabrics are trees")
+                .nodes
+                .len();
+            for (label, mut request) in [
+                ("max_compute", SelectionRequest::compute(M)),
+                ("max_bandwidth", SelectionRequest::communication(M)),
+                ("balanced", SelectionRequest::balanced(M)),
+            ] {
+                request.constraints.allowed = Some(pool.clone());
+                let time = |solve: &dyn Fn() -> Selection| {
+                    let samples = (0..iters)
+                        .map(|_| {
+                            let t = Instant::now();
+                            std::hint::black_box(solve());
+                            t.elapsed().as_secs_f64()
+                        })
+                        .collect();
+                    median_us(samples)
+                };
+                let select_us = time(&|| {
+                    selector_for(request.objective)
+                        .select(&snap, &request)
+                        .unwrap()
+                });
+                let masked_us = (n <= MASKED_LIMIT)
+                    .then(|| time(&|| select_masked(&snap, &request).unwrap().0));
+                eprintln!(
+                    "{n:>7} {pool_size:>5} {label:<14} {view_nodes:>10} {select_us:>11.1} {:>11}",
+                    masked_us.map_or("-".into(), |us| format!("{us:.1}")),
+                );
+                rows.push(serde_json::json!({
+                    "n": n,
+                    "pool": pool_size,
+                    "objective": label,
+                    "view_nodes": view_nodes,
+                    "select_us": select_us,
+                    "masked_select_us": masked_us,
+                }));
+            }
+        }
+    }
+    record(
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scaling.json"),
+        "pooled_growth",
+        serde_json::json!({
+            "smoke": smoke,
+            "m": M,
+            "iters": iters,
+            "rows": rows,
+        }),
+        validate_pooled_schema,
+    );
 }
 
 fn main() {
@@ -322,4 +460,6 @@ fn main() {
         }),
         validate_schema,
     );
+
+    pooled_growth(smoke, iters);
 }

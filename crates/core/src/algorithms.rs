@@ -18,6 +18,39 @@
 //!   exhaustion and keeps the best round, which is provably optimal on
 //!   acyclic graphs.
 //!
+//! # The graph a request is solved on
+//!
+//! The paper's procedures take "the logical network topology graph" Remos
+//! returns *for the nodes of interest* (§2.2, §3.1), not the fabric. Every
+//! entry point of this module does the same for a request that names its
+//! candidates: when [`Constraints::allowed`] is set and the structure is a
+//! forest, the eligible pool members are found by walking the pool (never
+//! the fabric), [`Topology::logical_topology`] connects them, and the
+//! engines below run on that — a [`NetMetrics`] view whose structure is
+//! the extract and whose readings forward to the caller's network — with
+//! ids mapped back in the answer and its footprint. A miss then costs what
+//! its pool costs: O(pool · depth) to build the view and O(E′ log E′) to
+//! solve it, whatever the fabric's size.
+//!
+//! The view keeps every eligible node and every tree path between two of
+//! them, so each state of either deletion loop partitions the eligible
+//! nodes exactly as it does on the whole graph, a candidate set's
+//! bottleneck is the same, and so are `nodes`, `score`, `quality`, typed
+//! errors and footprints. What does see the smaller graph:
+//! [`Selection::iterations`]; the order in which components that tie
+//! exactly (on score, or on eligible count in Figure 2's `required` loop)
+//! are preferred, which follows each component's lowest node id *in the
+//! graph solved*; and [`GreedyPolicy::Faithful`]'s stop rule, which
+//! branches holding no eligible node can no longer delay or trigger.
+//! Under [`GreedyPolicy::Sweep`] the optimum is unchanged: a dangling edge
+//! below a component's minimum relevant edge is always deleted before it.
+//!
+//! Unpooled requests, and any request on a structure with a cycle (no
+//! unique paths to take the union of), are solved on the whole graph with
+//! `allowed` applied as an eligibility mask. That path is exported as
+//! `select_masked` under the `oracle` feature, and `tests/pool_parity.rs`
+//! holds the pooled answers to it.
+//!
 //! # Fast paths
 //!
 //! The paper spells the loops out literally — rescan every edge for the
@@ -40,18 +73,21 @@
 //!   steady-state rounds allocate nothing), and the untouched components
 //!   keep their cached candidate sets and scores.
 //!
-//! Debug builds re-run the references after every fast-path call and
-//! assert byte-identical [`Selection`]s; the property tests in
-//! `tests/fastpath_parity.rs` do the same over random topologies.
+//! Debug builds re-run the references after every fast-path call — on the
+//! graph that call solved, logical or whole — and assert byte-identical
+//! [`Selection`]s; the property tests in `tests/fastpath_parity.rs` do the
+//! same over random topologies.
 
 use crate::quality::{evaluate_in, Quality};
 use crate::request::{Constraints, GreedyPolicy, Objective, SelectionRequest};
 use crate::selector::{LinkFootprint, SelectionFootprint};
 use crate::weights::Weights;
 use crate::SelectError;
+use nodesel_topology::hierarchy::Extract;
 use nodesel_topology::{
-    Component, EdgeId, GraphView, NetMetrics, NodeId, RouteTable, Topology, UnionFind,
+    Component, Direction, EdgeId, GraphView, NetMetrics, NodeId, RouteTable, Topology, UnionFind,
 };
+use std::collections::HashSet;
 
 /// The result of a selection.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,7 +99,11 @@ pub struct Selection {
     /// The balanced score of `quality` under the weights the request used
     /// (equal weights for the single-resource objectives).
     pub score: f64,
-    /// Edge-deletion rounds executed (1 for [`max_compute`]).
+    /// Edge-deletion rounds executed (1 for [`max_compute`]) on the graph
+    /// that was solved: the request's logical topology when it names an
+    /// [`Constraints::allowed`] pool on an acyclic structure, the whole
+    /// graph otherwise. A work count, not part of the placement — the
+    /// same nodes and score come with fewer rounds from a smaller graph.
     pub iterations: usize,
 }
 
@@ -72,76 +112,133 @@ pub struct Selection {
 /// footprint for requests whose eligibility moves with the metrics.
 pub(crate) type Solved = Result<(Selection, SelectionFootprint), SelectError>;
 
+/// [`NetMetrics`] over an [`Extract`]: the structure is the extract's
+/// sub-topology (kinds, speeds and capacities equal the global ones by
+/// construction), while every dynamic reading is delegated through the id
+/// maps — so a solve inside the extract tracks the caller's network
+/// without re-extracting.
+pub(crate) struct ExtractNet<'a, T: NetMetrics> {
+    pub(crate) net: &'a T,
+    pub(crate) ext: &'a Extract,
+}
+
+impl<T: NetMetrics> NetMetrics for ExtractNet<'_, T> {
+    fn structure(&self) -> &Topology {
+        &self.ext.sub
+    }
+    fn load_avg(&self, n: NodeId) -> f64 {
+        self.net.load_avg(self.ext.nodes[n.index()])
+    }
+    fn used(&self, e: EdgeId, dir: Direction) -> f64 {
+        self.net.used(self.ext.edges[e.index()], dir)
+    }
+    fn node_available(&self, n: NodeId) -> bool {
+        self.net.node_available(self.ext.nodes[n.index()])
+    }
+    fn link_available(&self, e: EdgeId) -> bool {
+        self.net.link_available(self.ext.edges[e.index()])
+    }
+    fn node_staleness(&self, n: NodeId) -> u32 {
+        self.net.node_staleness(self.ext.nodes[n.index()])
+    }
+    fn link_staleness(&self, e: EdgeId) -> u32 {
+        self.net.link_staleness(self.ext.edges[e.index()])
+    }
+}
+
+/// The part of eligibility that reads the network: the CPU floor, and the
+/// availability gating every algorithm applies uniformly — a node reported
+/// down is never selectable, and a staleness cap (when requested) excludes
+/// nodes whose state is unknown. The caller has checked that `n` is a
+/// compute node of `net` and (if the request has a pool) a member of it.
+fn selectable<T: NetMetrics>(net: &T, constraints: &Constraints, n: NodeId) -> bool {
+    constraints
+        .min_cpu
+        .is_none_or(|c| net.effective_cpu(n) >= c)
+        && net.node_available(n)
+        && constraints
+            .max_staleness
+            .is_none_or(|s| net.node_staleness(n) <= s)
+}
+
+/// The checks a request must pass before any graph is looked at, in the
+/// order their errors take precedence, given how many nodes are eligible
+/// and a membership test for them. Returns the required nodes, sorted and
+/// deduplicated.
+fn validate(
+    m: usize,
+    constraints: &Constraints,
+    eligible: usize,
+    is_eligible: impl Fn(NodeId) -> bool,
+) -> Result<Vec<NodeId>, SelectError> {
+    if m == 0 {
+        return Err(SelectError::ZeroCount);
+    }
+    if constraints.required.len() > m {
+        return Err(SelectError::TooManyRequired {
+            required: constraints.required.len(),
+            count: m,
+        });
+    }
+    if let Some(&r) = constraints.required.iter().find(|&&r| !is_eligible(r)) {
+        return Err(SelectError::RequiredNotEligible(r));
+    }
+    if eligible < m {
+        return Err(SelectError::NotEnoughNodes {
+            eligible,
+            requested: m,
+        });
+    }
+    let mut required = constraints.required.clone();
+    required.sort_unstable();
+    required.dedup();
+    Ok(required)
+}
+
 /// Shared validated state for one selection run, generic over the metric
 /// representation: the annotated [`Topology`] for the classic one-shot
-/// path, or a versioned [`nodesel_topology::NetSnapshot`] for the
-/// [`crate::selector`] path. Both instantiate the same monomorphic
-/// arithmetic (see [`NetMetrics`]), so results are byte-identical across
-/// representations by construction.
+/// path, a versioned [`nodesel_topology::NetSnapshot`] for the
+/// [`crate::selector`] path, or an [`ExtractNet`] over either for a pooled
+/// request. All instantiate the same monomorphic arithmetic (see
+/// [`NetMetrics`]), so results are byte-identical across representations
+/// by construction.
 struct Context<'a, T: NetMetrics> {
     net: &'a T,
     m: usize,
     required: Vec<NodeId>,
     eligible: Vec<bool>,
+    min_bandwidth: Option<f64>,
     reference_bw: Option<f64>,
 }
 
 impl<'a, T: NetMetrics> Context<'a, T> {
-    fn new(
+    /// The whole graph of `net`, with `allowed` (if any) applied as a mask
+    /// over its compute nodes.
+    fn masked(
         net: &'a T,
         m: usize,
         constraints: &Constraints,
         reference_bw: Option<f64>,
     ) -> Result<Self, SelectError> {
         let topo = net.structure();
-        if m == 0 {
-            return Err(SelectError::ZeroCount);
-        }
-        if constraints.required.len() > m {
-            return Err(SelectError::TooManyRequired {
-                required: constraints.required.len(),
-                count: m,
-            });
-        }
         let mut eligible = vec![false; topo.node_count()];
         for n in topo.compute_nodes() {
-            let ok_allowed = constraints
+            eligible[n.index()] = constraints
                 .allowed
                 .as_ref()
-                .is_none_or(|set| set.contains(&n));
-            let ok_cpu = constraints
-                .min_cpu
-                .is_none_or(|c| net.effective_cpu(n) >= c);
-            // Availability gating, uniform across all three algorithms: a
-            // node reported down is never selectable, and a staleness cap
-            // (when requested) excludes nodes whose state is unknown.
-            let ok_health = net.node_available(n)
-                && constraints
-                    .max_staleness
-                    .is_none_or(|s| net.node_staleness(n) <= s);
-            eligible[n.index()] = ok_allowed && ok_cpu && ok_health;
-        }
-        for &r in &constraints.required {
-            if r.index() >= topo.node_count() || !topo.node(r).is_compute() || !eligible[r.index()]
-            {
-                return Err(SelectError::RequiredNotEligible(r));
-            }
+                .is_none_or(|set| set.contains(&n))
+                && selectable(net, constraints, n);
         }
         let available = eligible.iter().filter(|&&e| e).count();
-        if available < m {
-            return Err(SelectError::NotEnoughNodes {
-                eligible: available,
-                requested: m,
-            });
-        }
-        let mut required = constraints.required.clone();
-        required.sort_unstable();
-        required.dedup();
+        let required = validate(m, constraints, available, |r| {
+            eligible.get(r.index()).is_some_and(|&e| e)
+        })?;
         Ok(Context {
             net,
             m,
             required,
             eligible,
+            min_bandwidth: constraints.min_bandwidth,
             reference_bw,
         })
     }
@@ -150,7 +247,7 @@ impl<'a, T: NetMetrics> Context<'a, T> {
     /// down (faulted or partitioned away — no algorithm may route through
     /// it) and minus every edge that cannot satisfy an absolute bandwidth
     /// floor (§3.3 fixed requirements).
-    fn base_view(&self, constraints: &Constraints) -> GraphView<'a> {
+    fn base_view(&self) -> GraphView<'a> {
         let mut view = GraphView::new(self.net.structure());
         let dead: Vec<_> = view
             .live_edges()
@@ -159,7 +256,7 @@ impl<'a, T: NetMetrics> Context<'a, T> {
         for e in dead {
             view.remove_edge(e);
         }
-        if let Some(floor) = constraints.min_bandwidth {
+        if let Some(floor) = self.min_bandwidth {
             let below: Vec<_> = view
                 .live_edges()
                 .filter(|&e| self.net.bw(e) < floor)
@@ -278,18 +375,17 @@ pub fn max_compute(
     m: usize,
     constraints: &Constraints,
 ) -> Result<Selection, SelectError> {
-    max_compute_in(topo, m, constraints).map(|(sel, _)| sel)
+    solve(topo, m, constraints, Procedure::Compute).map(|(sel, _)| sel)
 }
 
-/// [`max_compute`] over any [`NetMetrics`] representation.
+/// [`max_compute`] on a validated [`Context`].
 ///
 /// Footprint: the components are fixed by the graph (and the bandwidth
 /// floor), so only the members of the ones that can host the application
 /// can re-rank the answer; link metrics reach the bits through the floor's
 /// view filter (if any) or the final quality walk over the answer's routes.
-fn max_compute_in<T: NetMetrics>(net: &T, m: usize, constraints: &Constraints) -> Solved {
-    let ctx = Context::new(net, m, constraints, None)?;
-    let view = ctx.base_view(constraints);
+fn max_compute_in<T: NetMetrics>(ctx: &Context<T>) -> Solved {
+    let view = ctx.base_view();
     let mut best: Option<(Vec<NodeId>, f64)> = None;
     let mut read = Vec::new();
     for comp in view.components() {
@@ -303,9 +399,9 @@ fn max_compute_in<T: NetMetrics>(net: &T, m: usize, constraints: &Constraints) -
     }
     let (nodes, _) = best.ok_or(SelectError::Unsatisfiable)?;
     let table = ctx.routes_among(&nodes);
-    let links = match constraints.min_bandwidth {
+    let links = match ctx.min_bandwidth {
         Some(_) => LinkFootprint::All,
-        None => LinkFootprint::routes_among(net.structure(), &table, &nodes),
+        None => LinkFootprint::routes_among(ctx.net.structure(), &table, &nodes),
     };
     let selection = ctx.finish_on(&table, nodes, Weights::EQUAL, 1);
     Ok((selection, SelectionFootprint::reading(read, links)))
@@ -327,27 +423,25 @@ pub fn max_bandwidth(
     m: usize,
     constraints: &Constraints,
 ) -> Result<Selection, SelectError> {
-    max_bandwidth_in(topo, m, constraints).map(|(sel, _)| sel)
+    solve(topo, m, constraints, Procedure::Communication).map(|(sel, _)| sel)
 }
 
-/// [`max_bandwidth`] over any [`NetMetrics`] representation.
+/// [`max_bandwidth`] on a validated [`Context`].
 ///
 /// Footprint: the stop component is determined by the edge order and
 /// eligibility alone, so node churn only re-ranks the pick inside it,
 /// while any link churn can reorder the whole deletion sequence.
-fn max_bandwidth_in<T: NetMetrics>(net: &T, m: usize, constraints: &Constraints) -> Solved {
-    let ctx = Context::new(net, m, constraints, None)?;
+fn max_bandwidth_in<T: NetMetrics>(ctx: &Context<T>) -> Solved {
     if !ctx.required.is_empty() {
         // The loop's stopping rule follows the pinned nodes' component,
         // which moves with the metrics.
-        return max_bandwidth_loop(&ctx, constraints)
-            .map(|sel| (sel, SelectionFootprint::conservative()));
+        return max_bandwidth_loop(ctx).map(|sel| (sel, SelectionFootprint::conservative()));
     }
-    let fast = max_bandwidth_fast(&ctx, constraints);
+    let fast = max_bandwidth_fast(ctx);
     #[cfg(debug_assertions)]
     debug_assert_eq!(
         fast.as_ref().map(|(sel, _)| sel),
-        max_bandwidth_loop(&ctx, constraints).as_ref(),
+        max_bandwidth_loop(ctx).as_ref(),
         "max_bandwidth fast path diverged from the Figure 2 deletion loop"
     );
     fast
@@ -362,15 +456,11 @@ pub fn max_bandwidth_reference(
     m: usize,
     constraints: &Constraints,
 ) -> Result<Selection, SelectError> {
-    let ctx = Context::new(topo, m, constraints, None)?;
-    max_bandwidth_loop(&ctx, constraints)
+    solve(topo, m, constraints, Procedure::CommunicationReference).map(|(sel, _)| sel)
 }
 
-fn max_bandwidth_loop<T: NetMetrics>(
-    ctx: &Context<T>,
-    constraints: &Constraints,
-) -> Result<Selection, SelectError> {
-    let mut view = ctx.base_view(constraints);
+fn max_bandwidth_loop<T: NetMetrics>(ctx: &Context<T>) -> Result<Selection, SelectError> {
+    let mut view = ctx.base_view();
     let mut current: Option<Vec<NodeId>> = None;
     let mut iterations = 0usize;
     loop {
@@ -403,9 +493,9 @@ fn max_bandwidth_loop<T: NetMetrics>(
 /// (deleting edges in ascending order and adding them in descending order
 /// walk the same chain of graphs), so the returned `Selection` — including
 /// its `iterations` count — is byte-identical to the reference's.
-fn max_bandwidth_fast<T: NetMetrics>(ctx: &Context<T>, constraints: &Constraints) -> Solved {
+fn max_bandwidth_fast<T: NetMetrics>(ctx: &Context<T>) -> Solved {
     let topo = ctx.net.structure();
-    let view = ctx.base_view(constraints);
+    let view = ctx.base_view();
     // Deletion order: ascending (bw, id), matching `min_live_edge_by`'s
     // tie-breaking. The loop below walks it backwards.
     let mut order: Vec<EdgeId> = view.live_edges().collect();
@@ -491,32 +581,26 @@ pub fn balanced(
     reference_bandwidth: Option<f64>,
     policy: GreedyPolicy,
 ) -> Result<Selection, SelectError> {
-    balanced_in(topo, m, weights, constraints, reference_bandwidth, policy).map(|(sel, _)| sel)
+    let figure3 = Figure3 {
+        weights,
+        reference_bandwidth,
+        policy,
+    };
+    solve(topo, m, constraints, Procedure::Balanced(figure3)).map(|(sel, _)| sel)
 }
 
-/// [`balanced`] over any [`NetMetrics`] representation.
+/// [`balanced`] on a validated [`Context`].
 ///
 /// Footprint: every state of the deletion history is a subset of a
 /// component of the starting view that can host the application, and each
 /// competes in the sweep, so any of those members' CPU can move the
 /// winner; the history itself reads every edge's fraction.
-fn balanced_in<T: NetMetrics>(
-    net: &T,
-    m: usize,
-    weights: Weights,
-    constraints: &Constraints,
-    reference_bandwidth: Option<f64>,
-    policy: GreedyPolicy,
-) -> Solved {
-    if !weights.validate() {
-        return Err(SelectError::InvalidWeights);
-    }
-    let ctx = Context::new(net, m, constraints, reference_bandwidth)?;
-    let fast = balanced_fast(&ctx, weights, constraints, policy);
+fn balanced_in<T: NetMetrics>(ctx: &Context<T>, weights: Weights, policy: GreedyPolicy) -> Solved {
+    let fast = balanced_fast(ctx, weights, policy);
     #[cfg(debug_assertions)]
     debug_assert_eq!(
         fast.as_ref().map(|(sel, _)| sel),
-        balanced_loop(&ctx, weights, constraints, policy).as_ref(),
+        balanced_loop(ctx, weights, policy).as_ref(),
         "balanced fast path diverged from the Figure 3 deletion loop"
     );
     fast
@@ -534,11 +618,12 @@ pub fn balanced_reference(
     reference_bandwidth: Option<f64>,
     policy: GreedyPolicy,
 ) -> Result<Selection, SelectError> {
-    if !weights.validate() {
-        return Err(SelectError::InvalidWeights);
-    }
-    let ctx = Context::new(topo, m, constraints, reference_bandwidth)?;
-    balanced_loop(&ctx, weights, constraints, policy)
+    let figure3 = Figure3 {
+        weights,
+        reference_bandwidth,
+        policy,
+    };
+    solve(topo, m, constraints, Procedure::BalancedReference(figure3)).map(|(sel, _)| sel)
 }
 
 // Compiled wherever something runs it: the debug parity assert in
@@ -547,10 +632,9 @@ pub fn balanced_reference(
 fn balanced_loop<T: NetMetrics>(
     ctx: &Context<T>,
     weights: Weights,
-    constraints: &Constraints,
     policy: GreedyPolicy,
 ) -> Result<Selection, SelectError> {
-    let mut view = ctx.base_view(constraints);
+    let mut view = ctx.base_view();
     let mut best: Option<(f64, Vec<NodeId>)> = None;
     let mut iterations = 0usize;
     loop {
@@ -648,11 +732,10 @@ impl CompState {
 fn balanced_fast<T: NetMetrics>(
     ctx: &Context<T>,
     weights: Weights,
-    constraints: &Constraints,
     policy: GreedyPolicy,
 ) -> Solved {
     let topo = ctx.net.structure();
-    let mut view = ctx.base_view(constraints);
+    let mut view = ctx.base_view();
     // Global deletion order: ascending (fraction, id), exactly the sequence
     // `min_live_edge_by(edge_fraction)` produces round by round.
     let mut order: Vec<EdgeId> = view.live_edges().collect();
@@ -786,6 +869,159 @@ fn balanced_fast<T: NetMetrics>(
     ))
 }
 
+/// The parameters of Figure 3 beyond what every procedure takes.
+#[derive(Debug, Clone, Copy)]
+struct Figure3 {
+    weights: Weights,
+    reference_bandwidth: Option<f64>,
+    policy: GreedyPolicy,
+}
+
+/// What to run once the request is validated and its graph is chosen.
+#[derive(Debug, Clone, Copy)]
+enum Procedure {
+    Compute,
+    Communication,
+    Balanced(Figure3),
+    #[cfg(any(test, feature = "oracle"))]
+    CommunicationReference,
+    #[cfg(any(test, feature = "oracle"))]
+    BalancedReference(Figure3),
+}
+
+impl Procedure {
+    fn of(request: &SelectionRequest) -> Procedure {
+        match request.objective {
+            Objective::Compute => Procedure::Compute,
+            Objective::Communication => Procedure::Communication,
+            Objective::Balanced(weights) => Procedure::Balanced(Figure3 {
+                weights,
+                reference_bandwidth: request.reference_bandwidth,
+                policy: request.policy,
+            }),
+        }
+    }
+
+    /// The reference bandwidth the procedure scores fractions against
+    /// (Figure 3 only), checking Figure 3's weights on the way: theirs is
+    /// the first error a request can earn.
+    fn reference_bandwidth(self) -> Result<Option<f64>, SelectError> {
+        let figure3 = match self {
+            Procedure::Balanced(f) => f,
+            #[cfg(any(test, feature = "oracle"))]
+            Procedure::BalancedReference(f) => f,
+            _ => return Ok(None),
+        };
+        if !figure3.weights.validate() {
+            return Err(SelectError::InvalidWeights);
+        }
+        Ok(figure3.reference_bandwidth)
+    }
+
+    fn run<T: NetMetrics>(self, ctx: &Context<T>) -> Solved {
+        match self {
+            Procedure::Compute => max_compute_in(ctx),
+            Procedure::Communication => max_bandwidth_in(ctx),
+            Procedure::Balanced(f) => balanced_in(ctx, f.weights, f.policy),
+            #[cfg(any(test, feature = "oracle"))]
+            Procedure::CommunicationReference => {
+                max_bandwidth_loop(ctx).map(|sel| (sel, SelectionFootprint::conservative()))
+            }
+            #[cfg(any(test, feature = "oracle"))]
+            Procedure::BalancedReference(f) => balanced_loop(ctx, f.weights, f.policy)
+                .map(|sel| (sel, SelectionFootprint::conservative())),
+        }
+    }
+}
+
+/// The one step every entry point goes through: validate, choose the
+/// graph from what the request and the structure show — the pool's
+/// logical topology when there is a pool and unique paths to connect it
+/// by, the whole graph otherwise — and run `procedure` on it.
+fn solve<T: NetMetrics>(
+    net: &T,
+    m: usize,
+    constraints: &Constraints,
+    procedure: Procedure,
+) -> Solved {
+    match &constraints.allowed {
+        Some(pool) if net.structure().is_acyclic() => {
+            solve_pooled(net, pool, m, constraints, procedure)
+        }
+        _ => solve_masked(net, m, constraints, procedure),
+    }
+}
+
+fn solve_masked<T: NetMetrics>(
+    net: &T,
+    m: usize,
+    constraints: &Constraints,
+    procedure: Procedure,
+) -> Solved {
+    let reference_bw = procedure.reference_bandwidth()?;
+    procedure.run(&Context::masked(net, m, constraints, reference_bw)?)
+}
+
+/// Solves on the logical topology of the pool's eligible members and maps
+/// the answer back. The same predicate as [`Context::masked`], evaluated
+/// over the pool instead of over every compute node: ids in the pool that
+/// name no compute node of this structure are ignored, as the mask ignores
+/// them.
+fn solve_pooled<T: NetMetrics>(
+    net: &T,
+    pool: &HashSet<NodeId>,
+    m: usize,
+    constraints: &Constraints,
+    procedure: Procedure,
+) -> Solved {
+    let reference_bw = procedure.reference_bandwidth()?;
+    let topo = net.structure();
+    let mut members: Vec<NodeId> = pool
+        .iter()
+        .copied()
+        .filter(|&n| {
+            n.index() < topo.node_count()
+                && topo.node(n).is_compute()
+                && selectable(net, constraints, n)
+        })
+        .collect();
+    members.sort_unstable();
+    let required = validate(m, constraints, members.len(), |r| {
+        members.binary_search(&r).is_ok()
+    })?;
+    let ext = topo
+        .logical_topology(&members)
+        .expect("the caller checked the structure is acyclic");
+    // Local ids ascend with global ids: one merge walk marks the members.
+    let mut eligible = vec![false; ext.nodes.len()];
+    let mut next = members.iter().peekable();
+    for (flag, global) in eligible.iter_mut().zip(&ext.nodes) {
+        *flag = next.next_if_eq(&global).is_some();
+    }
+    let local = |global: NodeId| {
+        let at = ext.nodes.binary_search(&global);
+        NodeId::from_index(at.expect("required nodes are members, members are in the view"))
+    };
+    let ctx = Context {
+        net: &ExtractNet { net, ext: &ext },
+        m,
+        required: required.into_iter().map(local).collect(),
+        eligible,
+        min_bandwidth: constraints.min_bandwidth,
+        reference_bw,
+    };
+    let (mut selection, mut footprint) = procedure.run(&ctx)?;
+    for n in selection.nodes.iter_mut().chain(&mut footprint.nodes) {
+        *n = ext.nodes[n.index()];
+    }
+    if let LinkFootprint::Edges(edges) = &mut footprint.links {
+        for e in edges {
+            *e = ext.edges[e.index()];
+        }
+    }
+    Ok((selection, footprint))
+}
+
 /// Dispatches a [`SelectionRequest`] to the right algorithm.
 pub fn select(topo: &Topology, request: &SelectionRequest) -> Result<Selection, SelectError> {
     select_in(topo, request)
@@ -801,18 +1037,30 @@ pub(crate) fn select_in<T: NetMetrics>(
 
 /// [`select_in`], keeping the footprint the solve produced.
 pub(crate) fn solve_in<T: NetMetrics>(net: &T, request: &SelectionRequest) -> Solved {
-    match request.objective {
-        Objective::Compute => max_compute_in(net, request.count, &request.constraints),
-        Objective::Communication => max_bandwidth_in(net, request.count, &request.constraints),
-        Objective::Balanced(weights) => balanced_in(
-            net,
-            request.count,
-            weights,
-            &request.constraints,
-            request.reference_bandwidth,
-            request.policy,
-        ),
-    }
+    solve(
+        net,
+        request.count,
+        &request.constraints,
+        Procedure::of(request),
+    )
+}
+
+/// [`select`] on the whole graph with [`Constraints::allowed`] applied as
+/// an eligibility mask, and the footprint that solve read: the path of
+/// every unpooled request and of every request on a cyclic structure, and
+/// the yardstick `tests/pool_parity.rs` and the `scaling` bench hold the
+/// pool-first path to.
+#[cfg(any(test, feature = "oracle"))]
+pub fn select_masked<T: NetMetrics>(
+    net: &T,
+    request: &SelectionRequest,
+) -> Result<(Selection, SelectionFootprint), SelectError> {
+    solve_masked(
+        net,
+        request.count,
+        &request.constraints,
+        Procedure::of(request),
+    )
 }
 
 #[cfg(test)]

@@ -61,6 +61,13 @@
 //! `selection_fastpath` bench enable (`cargo doc --features oracle`
 //! documents them).
 //!
+//! A request that names its candidates ([`Constraints::allowed`]) on an
+//! acyclic structure is solved on the logical topology connecting them
+//! ([`nodesel_topology::Topology::logical_topology`], the paper's graph
+//! "for the nodes of interest") instead of on the whole fabric: the same
+//! placement, at a cost that follows the pool. Unpooled requests and
+//! cyclic structures are solved on the whole graph.
+//!
 //! For a stream of measurement epochs, every request is one fresh solve;
 //! the [`selector`] module's [`Selector`]s also report the
 //! [`SelectionFootprint`] that solve read, so a cache can keep an answer
@@ -101,7 +108,7 @@ mod weights;
 
 pub use algorithms::{balanced, max_bandwidth, max_compute, select, Selection};
 #[cfg(any(test, feature = "oracle"))]
-pub use algorithms::{balanced_reference, max_bandwidth_reference};
+pub use algorithms::{balanced_reference, max_bandwidth_reference, select_masked};
 pub use baseline::{random_selection, static_selection};
 pub use canonical::CanonicalRequest;
 #[cfg(any(test, feature = "oracle"))]

@@ -27,7 +27,17 @@ pub enum Objective {
 pub struct Constraints {
     /// Restrict candidates to this pool (e.g. "server must run on an Alpha
     /// machine" becomes an allowed-set of Alpha nodes). `None` allows every
-    /// compute node.
+    /// compute node. Ids that name no compute node of the structure are
+    /// ignored.
+    ///
+    /// The pool is also the paper's "nodes of interest" (§2.2): on an
+    /// acyclic structure a pooled request is solved on the logical
+    /// topology connecting the pool's eligible members
+    /// ([`nodesel_topology::Topology::logical_topology`]), so it costs
+    /// what the pool costs, not what the fabric costs. The placement is
+    /// the one the whole graph would give; see
+    /// [`Selection::iterations`](crate::Selection::iterations) for what
+    /// counts the smaller graph.
     pub allowed: Option<HashSet<NodeId>>,
     /// Nodes that must be part of the selection (e.g. a pinned server).
     pub required: Vec<NodeId>,

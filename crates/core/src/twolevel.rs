@@ -41,14 +41,12 @@
 //! regret of the domain restriction; benches report it at sizes where
 //! exact flat selection is still feasible.
 
-use crate::algorithms::{select_in, Selection};
+use crate::algorithms::{select_in, ExtractNet, Selection};
 use crate::request::{Objective, SelectionRequest};
 use crate::selector::Selector;
 use crate::SelectError;
 use nodesel_topology::hierarchy::Extract;
-use nodesel_topology::{
-    Direction, EdgeId, Hierarchy, NetMetrics, NetSnapshot, NodeId, RouteSketch, Topology,
-};
+use nodesel_topology::{Hierarchy, NetMetrics, NetSnapshot, RouteSketch, Topology};
 use std::sync::Arc;
 
 /// Tuning knobs for the two-level strategy.
@@ -95,40 +93,6 @@ struct DomainSummary {
     cpu: Vec<f64>,
     inc_bw: Vec<f64>,
     inc_frac: Vec<f64>,
-}
-
-/// The flat engines over a domain extract, metrics served by the live
-/// global view. `structure()` is the extracted sub-topology (its copied
-/// capacities, speeds and names equal the global ones by construction),
-/// while every dynamic reading is delegated through the id maps — so
-/// in-domain solves track the current snapshot without re-extracting.
-struct DomainNet<'a, T: NetMetrics> {
-    net: &'a T,
-    ext: &'a Extract,
-}
-
-impl<T: NetMetrics> NetMetrics for DomainNet<'_, T> {
-    fn structure(&self) -> &Topology {
-        &self.ext.sub
-    }
-    fn load_avg(&self, n: NodeId) -> f64 {
-        self.net.load_avg(self.ext.nodes[n.index()])
-    }
-    fn used(&self, e: EdgeId, dir: Direction) -> f64 {
-        self.net.used(self.ext.edges[e.index()], dir)
-    }
-    fn node_available(&self, n: NodeId) -> bool {
-        self.net.node_available(self.ext.nodes[n.index()])
-    }
-    fn link_available(&self, e: EdgeId) -> bool {
-        self.net.link_available(self.ext.edges[e.index()])
-    }
-    fn node_staleness(&self, n: NodeId) -> u32 {
-        self.net.node_staleness(self.ext.nodes[n.index()])
-    }
-    fn link_staleness(&self, e: EdgeId) -> u32 {
-        self.net.link_staleness(self.ext.edges[e.index()])
-    }
 }
 
 /// A [`Selector`] that places requests through a domain hierarchy.
@@ -365,7 +329,7 @@ fn solve_in_extract(
     ext: &Extract,
     request: &SelectionRequest,
 ) -> Result<Selection, SelectError> {
-    let net = DomainNet { net: snap, ext };
+    let net = ExtractNet { net: snap, ext };
     let mut sel = select_in(&net, request)?;
     sel.nodes = sel.nodes.iter().map(|n| ext.nodes[n.index()]).collect();
     Ok(sel)

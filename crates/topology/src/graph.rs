@@ -1,9 +1,11 @@
 //! The annotated topology graph.
 
+use crate::forest::Forest;
 use crate::link::Direction;
 use crate::{EdgeId, Link, Node, NodeId, NodeKind, TopologyError};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// The logical network topology graph `G(n)` of paper §3.1.
 ///
@@ -29,6 +31,12 @@ pub struct Topology {
     domains: Option<Vec<u16>>,
     #[serde(skip)]
     name_index: HashMap<String, NodeId>,
+    /// The rooted-forest index (`None` inside: the graph has a cycle),
+    /// filled on first use and emptied by every structural edit. Derived
+    /// data like `name_index`, so not serialized; snapshots that share the
+    /// structure's `Arc` share it.
+    #[serde(skip)]
+    forest: OnceLock<Option<Forest>>,
 }
 
 impl Topology {
@@ -63,6 +71,7 @@ impl Topology {
             return Err(TopologyError::DuplicateName(name));
         }
         let id = NodeId(u32::try_from(self.nodes.len()).expect("too many nodes"));
+        self.forest = OnceLock::new();
         self.nodes.push(Node::new(name.clone(), kind, speed));
         self.adjacency.push(Vec::new());
         self.name_index.insert(name, id);
@@ -88,6 +97,7 @@ impl Topology {
         assert!(a != b, "self-loops are not meaningful in a topology graph");
         assert!(a.index() < self.nodes.len() && b.index() < self.nodes.len());
         let id = EdgeId(u32::try_from(self.links.len()).expect("too many links"));
+        self.forest = OnceLock::new();
         self.links.push(Link::new(a, b, cap_ab, cap_ba, latency));
         self.adjacency[a.index()].push((id, b));
         self.adjacency[b.index()].push((id, a));
@@ -230,15 +240,42 @@ impl Topology {
     /// True when the graph contains no cycles (a forest). The fundamental
     /// algorithms of §3.2 assume an acyclic graph; cyclic graphs are handled
     /// through static routing (§3.3), see [`crate::RouteTable`].
+    ///
+    /// Parallel links between the same pair count as a cycle. The first
+    /// call after a structural edit builds the forest index, O(n + E);
+    /// later calls read it.
     pub fn is_acyclic(&self) -> bool {
-        // A forest has exactly (nodes - components) edges, counting each
-        // undirected edge once. Parallel edges between the same pair count
-        // as a cycle, which this formulation captures automatically.
-        let components = {
-            let view = crate::GraphView::new(self);
-            view.components().len()
-        };
-        self.links.len() == self.nodes.len().saturating_sub(components)
+        self.forest().is_some()
+    }
+
+    /// The rooted-forest index, built on first use; `None` when the graph
+    /// has a cycle.
+    pub(crate) fn forest(&self) -> Option<&Forest> {
+        self.forest.get_or_init(|| Forest::build(self)).as_ref()
+    }
+
+    /// A topology of exactly these nodes and links (whose endpoints index
+    /// `nodes`), flat and with an empty name index: the sub-topology of an
+    /// extract whose names stay on the global graph.
+    pub(crate) fn from_parts(nodes: Vec<Node>, links: Vec<Link>) -> Topology {
+        let mut degree = vec![0usize; nodes.len()];
+        for l in &links {
+            degree[l.a().index()] += 1;
+            degree[l.b().index()] += 1;
+        }
+        let mut adjacency: Vec<Vec<(EdgeId, NodeId)>> =
+            degree.into_iter().map(Vec::with_capacity).collect();
+        for (i, l) in links.iter().enumerate() {
+            let e = EdgeId(i as u32);
+            adjacency[l.a().index()].push((e, l.b()));
+            adjacency[l.b().index()].push((e, l.a()));
+        }
+        Topology {
+            nodes,
+            links,
+            adjacency,
+            ..Topology::default()
+        }
     }
 
     /// Rebuilds the name index after deserialization.

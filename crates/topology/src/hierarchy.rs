@@ -36,6 +36,10 @@ use crate::{Direction, EdgeId, NodeId, ShardPlan, Topology};
 /// restricted to the extract. Link endpoint order is preserved, so
 /// [`Direction`] means the same thing through the mapping. Conditions
 /// (load averages, link utilizations) are copied as of extraction time.
+///
+/// Built per domain by a [`Hierarchy`] (node names copied), and per
+/// request by [`Topology::logical_topology`] (names left on the global
+/// graph).
 #[derive(Debug, Clone)]
 pub struct Extract {
     /// The extracted topology with local ids.

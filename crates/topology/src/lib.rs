@@ -25,6 +25,9 @@
 //!   `nodesel-core`;
 //! * [`route`] — static routing (unique tree paths, shortest-path tables for
 //!   cyclic graphs) and bottleneck-bandwidth queries;
+//! * [`Topology::logical_topology`] — on acyclic structures, the part of
+//!   the graph that connects a set of nodes of interest (§2.2), built from
+//!   a per-structure forest index in time proportional to the answer;
 //! * [`builders`] and [`testbeds`] — canonical topologies, including the
 //!   Figure 1 example network and the Figure 4 CMU testbed used throughout
 //!   the paper's evaluation;
@@ -52,6 +55,7 @@
 
 pub mod builders;
 pub mod dot;
+mod forest;
 mod graph;
 pub mod hierarchy;
 mod ids;
