@@ -11,10 +11,10 @@
 //! simulator's `oracle` feature, which this crate's benches turn on.
 
 use nodesel_apps::AppModel;
-use nodesel_bench::federated;
 use nodesel_experiments::{record, run_trial, Condition, Strategy, Testbed, TrialConfig};
 use nodesel_loadgen::{install_load, install_traffic, LoadConfig, TrafficConfig};
 use nodesel_simnet::{FlowEngine, Sim};
+use nodesel_topology::builders::federation;
 use nodesel_topology::testbeds::cmu_testbed;
 use std::hint::black_box;
 use std::time::Instant;
@@ -45,7 +45,7 @@ fn run_busy(engine: FlowEngine, mult: f64) -> u64 {
 
 /// One federated run; returns the number of events dispatched.
 fn run_federated(engine: FlowEngine, k: usize, mult: f64) -> u64 {
-    let (topo, subnets) = federated(k, None);
+    let (topo, subnets) = federation(k, None);
     let mut sim = Sim::with_flow_engine(topo, engine);
     for (s, hosts) in subnets.iter().enumerate() {
         install_traffic(&mut sim, hosts, traffic_at(mult), 100 + s as u64);

@@ -28,10 +28,8 @@ pub fn conditioned_tree(seed: u64, nodes: usize) -> (Topology, Vec<NodeId>) {
 
 /// A seeded hierarchical fabric (star domains on a binary trunk tree,
 /// see [`hierarchical`]) with random load and traffic conditions — the
-/// standard input for the two-level scaling benches. The domain
-/// assignment is carried on the returned topology, so
-/// `TwoLevelSelector` and `Hierarchy::new` pick it up directly. Returns
-/// the topology and each domain's host list.
+/// input of the `scaling` bench's pooled sweep. Returns the topology and
+/// each domain's host list.
 pub fn conditioned_hierarchy(
     seed: u64,
     domains: usize,
@@ -44,43 +42,15 @@ pub fn conditioned_hierarchy(
     (topo, members)
 }
 
-/// `k` subnets in one simulator — a two-router backbone with eight hosts
-/// each — the standard federated input for the simulator benches. Flows
-/// share bandwidth within their subnet only, so the sharing graph has
-/// `k` components (and the incremental flow engine re-solves one per
-/// event). With `trunk_latency` the subnets are chained router-to-router
-/// into one connected federation whose inter-subnet links carry that
-/// latency. Returns the topology and each subnet's host list.
-pub fn federated(k: usize, trunk_latency: Option<f64>) -> (Topology, Vec<Vec<NodeId>>) {
-    nodesel_topology::builders::federation(k, trunk_latency)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn federated_trunks_connect_the_subnets() {
-        let (disc, subnets) = federated(3, None);
-        assert_eq!(disc.node_count(), 30);
-        assert_eq!(subnets.len(), 3);
-        assert!(!disc.is_connected());
-
-        let (conn, _) = federated(3, Some(2e-3));
-        assert!(conn.is_connected());
-    }
-
-    #[test]
-    fn conditioned_hierarchy_carries_its_assignment() {
+    fn conditioned_hierarchy_is_shaped_and_seeded() {
         let (topo, members) = conditioned_hierarchy(3, 4, 5);
         assert_eq!(topo.node_count(), 4 * 6); // hub + 5 hosts per domain
         assert_eq!(members.len(), 4);
-        let domains = topo.domains().expect("assignment travels on the graph");
-        for (d, hosts) in members.iter().enumerate() {
-            for &h in hosts {
-                assert_eq!(domains[h.index()], d as u16);
-            }
-        }
         // Same seed, same conditions.
         let (again, _) = conditioned_hierarchy(3, 4, 5);
         for n in topo.compute_nodes() {

@@ -83,9 +83,9 @@ use crate::request::{Constraints, GreedyPolicy, Objective, SelectionRequest};
 use crate::selector::{LinkFootprint, SelectionFootprint};
 use crate::weights::Weights;
 use crate::SelectError;
-use nodesel_topology::hierarchy::Extract;
 use nodesel_topology::{
-    Component, Direction, EdgeId, GraphView, NetMetrics, NodeId, RouteTable, Topology, UnionFind,
+    Component, Direction, EdgeId, Extract, GraphView, NetMetrics, NodeId, RouteTable, Topology,
+    UnionFind,
 };
 use std::collections::HashSet;
 

@@ -187,6 +187,12 @@ fn place_groups(
 /// assert_eq!(sel.group("servers").unwrap().len(), 2);
 /// assert_eq!(sel.combined.nodes.len(), 5);
 /// ```
+///
+/// # Panics
+///
+/// When a [`GroupSpec`]'s own constraints set `min_bandwidth`: a
+/// bandwidth floor holds across the whole combined set, so it belongs in
+/// [`GroupedRequest::min_bandwidth`].
 pub fn select_groups(
     topo: &Topology,
     request: &GroupedRequest,

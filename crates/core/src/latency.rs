@@ -63,6 +63,10 @@ fn ball_members(
 /// with static routing it remains *sound* (the returned set always
 /// satisfies the bound — verified before returning) but may miss sets
 /// that only qualify under non-tree metrics.
+///
+/// A negative or NaN `max_latency` is [`SelectError::Unsatisfiable`]: no
+/// node set, not even a singleton (pairwise latency 0), is within it.
+/// `f64::INFINITY` is no bound.
 pub fn select_within_latency(
     topo: &Topology,
     m: usize,
@@ -71,9 +75,11 @@ pub fn select_within_latency(
     constraints: &Constraints,
     policy: GreedyPolicy,
 ) -> Result<Selection, SelectError> {
-    assert!(max_latency >= 0.0, "latency bound must be non-negative");
     if m == 0 {
         return Err(SelectError::ZeroCount);
+    }
+    if max_latency.is_nan() || max_latency < 0.0 {
+        return Err(SelectError::Unsatisfiable);
     }
     let routes = topo.routes();
     let radius = max_latency / 2.0;

@@ -103,7 +103,6 @@ pub mod selector;
 pub mod sizing;
 pub mod spec;
 pub mod supervisor;
-pub mod twolevel;
 mod weights;
 
 pub use algorithms::{balanced, max_bandwidth, max_compute, select, Selection};
@@ -122,7 +121,6 @@ pub use selector::{selector_for, FlatSelector, LinkFootprint, SelectionFootprint
 pub use sizing::{select_node_count, LooselySynchronousModel, PerformanceModel, SizedSelection};
 pub use spec::{select_for_spec, AppSpec, CommPattern, SpecSelection};
 pub use supervisor::{Supervisor, SupervisorCheck, SupervisorPolicy, SupervisorVerdict};
-pub use twolevel::{TwoLevelConfig, TwoLevelOutcome, TwoLevelSelector};
 pub use weights::Weights;
 
 /// Errors produced by the selection procedures.

@@ -46,8 +46,7 @@ use nodesel_topology::{
 
 /// A selection engine over snapshot epochs.
 ///
-/// Obtain the flat one from [`selector_for`]; [`crate::TwoLevelSelector`]
-/// is the hierarchical one.
+/// Obtain one from [`selector_for`].
 ///
 /// Selectors are `Send` so a service may hold one behind a lock that
 /// outlives any single thread's borrow. They are *not* required to be

@@ -384,6 +384,27 @@ mod tests {
     }
 
     #[test]
+    fn a_latency_bound_nothing_meets_is_unsatisfiable_not_a_panic() {
+        let (topo, _) = chain(4, 100.0 * MBPS);
+        for bound in [f64::NAN, -1.0] {
+            let mut spec = AppSpec::new("lat", 2, CommPattern::AllToAll);
+            spec.max_latency = Some(bound);
+            assert_eq!(
+                select_for_spec(&topo, &spec).unwrap_err(),
+                SelectError::Unsatisfiable,
+                "bound {bound}"
+            );
+        }
+        // No bound at all: the unbounded answer.
+        let mut spec = AppSpec::new("lat", 2, CommPattern::AllToAll);
+        spec.max_latency = Some(f64::INFINITY);
+        assert_eq!(
+            select_for_spec(&topo, &spec).unwrap().selection.nodes.len(),
+            2
+        );
+    }
+
+    #[test]
     fn all_to_all_prefers_local_cluster() {
         let (mut topo, ids) = dumbbell(3, 100.0 * MBPS, 100.0 * MBPS);
         let trunk = topo.edge_ids().next().unwrap();

@@ -1,18 +1,22 @@
 //! Property tests: on acyclic topologies the paper's greedy algorithms
 //! (with the sweep policy) are exact — they match brute-force search over
 //! all candidate node sets. These properties are the correctness core of
-//! the reproduction.
+//! the reproduction. Beside them: an empty ledger's residual is invisible
+//! to selection.
 
 use nodesel_core::{
-    balanced, exhaustive_select, max_bandwidth, max_compute, Constraints, ExhaustiveObjective,
-    GreedyPolicy, Weights,
+    balanced, exhaustive_select, max_bandwidth, max_compute, selector_for, Constraints,
+    ExhaustiveObjective, GreedyPolicy, SelectionRequest, Weights,
 };
 use nodesel_topology::builders::random_tree;
 use nodesel_topology::units::MBPS;
-use nodesel_topology::{Direction, NodeId, Topology};
+use nodesel_topology::{
+    Direction, LedgerState, NetMetrics, NetSnapshot, NodeId, ResidualView, Topology,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Builds a random tree with random per-link capacities, loads and traffic.
 fn random_conditions(seed: u64, computes: usize, networks: usize) -> (Topology, Vec<NodeId>) {
@@ -144,5 +148,41 @@ proptest! {
         let a = balanced(&topo, m, Weights::EQUAL, &Constraints::none(), None, GreedyPolicy::Sweep).unwrap();
         let b = balanced(&topo, m, Weights::EQUAL, &Constraints::none(), None, GreedyPolicy::Sweep).unwrap();
         prop_assert_eq!(a, b);
+    }
+
+    /// An empty [`LedgerState`] is invisible: the [`ResidualView`] over it
+    /// reads bit-identically to the raw snapshot on every accessor, and
+    /// the materialized residual (the ledger's delta applied to the
+    /// snapshot) gets bit-identical answers from the selector.
+    #[test]
+    fn empty_ledger_residual_is_invisible_to_selection(seed in 0u64..100_000, computes in 3usize..8, networks in 0usize..5) {
+        let (topo, ids) = random_conditions(seed, computes, networks);
+        let snap = NetSnapshot::capture(Arc::new(topo));
+        let ledger = LedgerState::new();
+        let view = ResidualView::new(&snap, &ledger);
+        let topo = snap.structure_arc();
+        for n in topo.node_ids() {
+            prop_assert_eq!(view.load_avg(n).to_bits(), snap.load_avg(n).to_bits());
+            prop_assert_eq!(view.node_available(n), snap.node_available(n));
+            prop_assert_eq!(view.node_staleness(n), snap.node_staleness(n));
+        }
+        for e in topo.edge_ids() {
+            for dir in [Direction::AtoB, Direction::BtoA] {
+                prop_assert_eq!(view.used(e, dir).to_bits(), snap.used(e, dir).to_bits());
+            }
+            prop_assert_eq!(view.link_available(e), snap.link_available(e));
+            prop_assert_eq!(view.link_staleness(e), snap.link_staleness(e));
+        }
+        let residual = snap.apply(&ledger.to_delta(&snap));
+        let m = 1 + (seed as usize) % ids.len().min(4);
+        for request in [
+            SelectionRequest::compute(m),
+            SelectionRequest::communication(m),
+            SelectionRequest::balanced(m),
+        ] {
+            let on_residual = selector_for(request.objective).select(&residual, &request);
+            let on_raw = selector_for(request.objective).select(&snap, &request);
+            prop_assert_eq!(on_residual, on_raw, "objective {:?}", request.objective);
+        }
     }
 }

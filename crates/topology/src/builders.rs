@@ -114,14 +114,11 @@ pub fn switch_tree(depth: usize, fanout: usize, capacity: f64) -> (Topology, Vec
     (t, leaves)
 }
 
-/// A hierarchical fabric for two-level selection: `domains` star domains
-/// of `hosts_per_domain` compute hosts each (host links at `host_cap`),
-/// whose hub switches form a balanced binary tree of trunk links at
-/// `trunk_cap` / `trunk_latency`. Each domain's hub is its only border
-/// node, and the topology carries the matching persisted domain
-/// assignment ([`Topology::domains`]), so
-/// [`crate::hierarchy::Hierarchy::new`] picks the intended partition up
-/// directly. Returns the topology and the host ids grouped by domain.
+/// Star domains on a binary trunk tree; the `cold_100k` and
+/// `pooled_growth` fabric. `domains` hub switches, each with
+/// `hosts_per_domain` compute hosts on links at `host_cap`; hub `i > 0`
+/// has a trunk to hub `(i - 1) / 2` at `trunk_cap` / `trunk_latency`.
+/// Returns the topology and the host ids grouped by hub.
 pub fn hierarchical(
     domains: usize,
     hosts_per_domain: usize,
@@ -149,10 +146,6 @@ pub fn hierarchical(
         hubs.push(hub);
         hosts.push(members);
     }
-    let assignment: Vec<u16> = (0..t.node_count())
-        .map(|i| (i / (hosts_per_domain + 1)) as u16)
-        .collect();
-    t.set_domains(assignment);
     (t, hosts)
 }
 
@@ -263,6 +256,7 @@ pub const DEFAULT_CAPACITY: f64 = 100.0 * MBPS;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Direction;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -313,6 +307,66 @@ mod tests {
         assert_eq!(leaves.len(), 8);
         assert_eq!(t.node_count(), 15);
         assert!(t.is_connected() && t.is_acyclic());
+    }
+
+    #[test]
+    fn hierarchical_shape() {
+        let (domains, per) = (7, 5);
+        let (trunk_cap, trunk_latency) = (40.0 * MBPS, 2e-3);
+        let (t, hosts) = hierarchical(domains, per, DEFAULT_CAPACITY, trunk_cap, trunk_latency);
+        assert_eq!(t.node_count(), domains * (per + 1));
+        assert_eq!(t.link_count(), domains * per + domains - 1);
+        assert!(t.is_connected() && t.is_acyclic());
+        // Hub `d` is numbered just below its hosts, which come back
+        // grouped by hub in ascending id, each on one link to its hub.
+        let hub = |d: usize| NodeId::from_index(d * (per + 1));
+        assert_eq!(hosts.len(), domains);
+        for (d, members) in hosts.iter().enumerate() {
+            let first = hub(d).index() + 1;
+            let expected: Vec<NodeId> = (first..first + per).map(NodeId::from_index).collect();
+            assert_eq!(members, &expected);
+            for &h in members {
+                assert!(t.node(h).is_compute());
+                assert!(t.neighbors(h).iter().map(|&(_, n)| n).eq([hub(d)]));
+            }
+        }
+        // The other `domains - 1` links: hub `d`'s trunk to hub `(d - 1) / 2`.
+        for d in 1..domains {
+            let up = hub((d - 1) / 2);
+            let &(e, _) = t
+                .neighbors(hub(d))
+                .iter()
+                .find(|&&(_, n)| n == up)
+                .expect("a trunk to the parent hub");
+            for dir in [Direction::AtoB, Direction::BtoA] {
+                assert_eq!(t.link(e).capacity(dir), trunk_cap);
+            }
+            assert_eq!(t.link(e).latency(), trunk_latency);
+        }
+    }
+
+    #[test]
+    fn federation_shape() {
+        let (disc, subnets) = federation(3, None);
+        assert_eq!(disc.node_count(), 30);
+        assert_eq!(disc.link_count(), 3 * 9);
+        assert_eq!(subnets.len(), 3);
+        assert!(subnets.iter().all(|hosts| hosts.len() == 8));
+        assert!(!disc.is_connected());
+        assert!(disc.is_acyclic());
+
+        let (conn, _) = federation(3, Some(2e-3));
+        assert!(conn.is_connected() && conn.is_acyclic());
+        // The two trunks are the links added last: 50 Mbps, the given
+        // latency, second router of one subnet to first of the next.
+        assert_eq!(conn.link_count(), disc.link_count() + 2);
+        for (s, e) in conn.edge_ids().skip(disc.link_count()).enumerate() {
+            let trunk = conn.link(e);
+            assert_eq!(trunk.capacity(Direction::AtoB), 50.0 * MBPS);
+            assert_eq!(trunk.latency(), 2e-3);
+            assert_eq!(conn.node(trunk.a()).name(), format!("s{s}-r1"));
+            assert_eq!(conn.node(trunk.b()).name(), format!("s{}-r0", s + 1));
+        }
     }
 
     #[test]

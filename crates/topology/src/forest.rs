@@ -12,8 +12,31 @@
 //! [`Topology::logical_topology`] walks it in time proportional to the
 //! answer, never to the fabric.
 
-use crate::hierarchy::Extract;
 use crate::{EdgeId, Link, Node, NodeId, Topology};
+
+/// A sub-topology extracted from a global graph, with both id mappings.
+///
+/// Local node `i` of [`Extract::sub`] is global node `nodes[i]`; local
+/// edge `j` is global edge `edges[j]`. Nodes are extracted in ascending
+/// global order and edges in ascending global edge order, so insertion-
+/// order tie-breaking inside the sub-topology (BFS, sorted cursors)
+/// matches what the same algorithm would do on the global graph
+/// restricted to the extract. Link endpoint order is preserved, so
+/// [`crate::Direction`] means the same thing through the mapping.
+/// Conditions (load averages, link utilizations) are copied as of
+/// extraction time.
+///
+/// Built per request by [`Topology::logical_topology`] (node names are
+/// left on the global graph).
+#[derive(Debug, Clone)]
+pub struct Extract {
+    /// The extracted topology with local ids.
+    pub sub: Topology,
+    /// Global node id of each local node, ascending.
+    pub nodes: Vec<NodeId>,
+    /// Global edge id of each local edge, ascending.
+    pub edges: Vec<EdgeId>,
+}
 
 /// Parent pointers and preorder ranks of a forest, each tree rooted at its
 /// lowest-numbered node.

@@ -23,12 +23,6 @@ pub struct Topology {
     links: Vec<Link>,
     /// Adjacency: for each node, (edge, neighbor) pairs in insertion order.
     adjacency: Vec<Vec<(EdgeId, NodeId)>>,
-    /// Optional hierarchy: `domains[node index]` is the node's domain id,
-    /// with ids contiguous from 0. `None` for flat topologies. Serialized,
-    /// so hierarchical testbeds survive save/load; old files without the
-    /// field parse as flat.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    domains: Option<Vec<u16>>,
     #[serde(skip)]
     name_index: HashMap<String, NodeId>,
     /// The rooted-forest index (`None` inside: the graph has a cycle),
@@ -178,43 +172,6 @@ impl Topology {
         self.links[e.index()].set_used(dir, bits_per_sec);
     }
 
-    /// Assigns every node to a hierarchy domain. Domain ids must be
-    /// contiguous from 0 and cover every node; call after construction is
-    /// complete (nodes added later are not assigned, which
-    /// [`crate::io::validate`] rejects).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `domains` does not carry exactly one id per node or
-    /// when the ids leave a gap (some id in `0..max` has no members).
-    pub fn set_domains(&mut self, domains: Vec<u16>) {
-        assert_eq!(
-            domains.len(),
-            self.nodes.len(),
-            "one domain id per node required"
-        );
-        if let Some(&max) = domains.iter().max() {
-            let mut seen = vec![false; max as usize + 1];
-            for &d in &domains {
-                seen[d as usize] = true;
-            }
-            if let Some(gap) = seen.iter().position(|&s| !s) {
-                panic!("domain ids are not contiguous: domain {gap} has no members");
-            }
-        }
-        self.domains = Some(domains);
-    }
-
-    /// The hierarchy domain assignment, if one was set: one id per node.
-    pub fn domains(&self) -> Option<&[u16]> {
-        self.domains.as_deref()
-    }
-
-    /// Removes the domain assignment, returning the topology to flat.
-    pub fn clear_domains(&mut self) {
-        self.domains = None;
-    }
-
     /// True when the graph is connected (ignoring isolated topologies with
     /// zero nodes, which count as connected).
     pub fn is_connected(&self) -> bool {
@@ -255,8 +212,8 @@ impl Topology {
     }
 
     /// A topology of exactly these nodes and links (whose endpoints index
-    /// `nodes`), flat and with an empty name index: the sub-topology of an
-    /// extract whose names stay on the global graph.
+    /// `nodes`), with an empty name index: the sub-topology of an extract
+    /// whose names stay on the global graph.
     pub(crate) fn from_parts(nodes: Vec<Node>, links: Vec<Link>) -> Topology {
         let mut degree = vec![0usize; nodes.len()];
         for l in &links {

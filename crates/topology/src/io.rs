@@ -112,29 +112,6 @@ pub fn validate(topo: &Topology) -> Result<(), IoError> {
             }
         }
     }
-    // Domain section: when a hierarchy assignment is present it must cover
-    // every node with contiguous ids, or [`crate::hierarchy::Hierarchy`]
-    // construction would panic long after the file was accepted.
-    if let Some(domains) = topo.domains() {
-        if domains.len() != topo.node_count() {
-            return Err(IoError::Invalid(format!(
-                "domain section carries {} ids for {} nodes",
-                domains.len(),
-                topo.node_count()
-            )));
-        }
-        if let Some(&max) = domains.iter().max() {
-            let mut seen = vec![false; max as usize + 1];
-            for &d in domains {
-                seen[d as usize] = true;
-            }
-            if let Some(gap) = seen.iter().position(|&s| !s) {
-                return Err(IoError::Invalid(format!(
-                    "domain section ids are not contiguous: domain {gap} has no members"
-                )));
-            }
-        }
-    }
     // Every adjacency entry must reference a real edge with the node as an
     // endpoint.
     for id in topo.node_ids() {
@@ -233,55 +210,16 @@ mod tests {
     }
 
     #[test]
-    fn domain_assignment_round_trips() {
-        let (mut t, ids) = dumbbell(2, 100.0 * MBPS, 10.0 * MBPS);
-        // Left pair domain 0, right pair domain 1.
-        let domains: Vec<u16> = (0..t.node_count())
-            .map(|i| if i < t.node_count() / 2 { 0 } else { 1 })
-            .collect();
-        t.set_domains(domains.clone());
-        let back = from_json(&to_json(&t)).unwrap();
-        assert_eq!(back.domains(), Some(domains.as_slice()));
-        assert_eq!(back.node_by_name("l0").unwrap(), ids[0]);
-    }
-
-    #[test]
-    fn flat_topologies_round_trip_without_domains() {
-        // The field is `#[serde(default, skip_serializing_if = "...")]`,
-        // so flat files don't grow a domain section and pre-hierarchy
-        // files keep loading. (The offline serde stand-in serializes the
-        // `None` explicitly, so only the round-tripped value is asserted
-        // here, not the key's absence.)
+    fn a_leftover_domains_section_is_ignored() {
+        // Files written before the per-node `domains` array left the
+        // format still carry it; it loads as the same topology without it.
         let (t, _) = dumbbell(2, 100.0 * MBPS, 10.0 * MBPS);
-        assert_eq!(from_json(&to_json(&t)).unwrap().domains(), None);
-    }
-
-    #[test]
-    fn malformed_domain_sections_are_rejected() {
-        let (mut t, _) = dumbbell(2, 100.0 * MBPS, 10.0 * MBPS);
-        let n = t.node_count();
-        t.set_domains(vec![0; n]);
         let json = to_json(&t);
-        // Too few ids for the node count.
         let mut doc: serde_json::Value = serde_json::from_str(&json).unwrap();
-        let mut ids = doc["domains"].as_array().unwrap().clone();
-        ids.pop();
-        doc["domains"] = serde_json::Value::Array(ids);
-        let err = from_json(&doc.to_string()).unwrap_err();
-        assert!(
-            matches!(&err, IoError::Invalid(m) if m.contains("domain section")),
-            "{err}"
-        );
-        // Gapped ids: a domain with no members.
-        let mut doc: serde_json::Value = serde_json::from_str(&json).unwrap();
-        let mut ids = doc["domains"].as_array().unwrap().clone();
-        ids[0] = serde_json::json!(7);
-        doc["domains"] = serde_json::Value::Array(ids);
-        let err = from_json(&doc.to_string()).unwrap_err();
-        assert!(
-            matches!(&err, IoError::Invalid(m) if m.contains("not contiguous")),
-            "{err}"
-        );
+        doc["domains"] = serde_json::json!(vec![0u16; t.node_count()]);
+        // `from_json` validates what it loads.
+        let old = from_json(&doc.to_string()).unwrap();
+        assert_eq!(to_json(&old), json);
     }
 
     #[test]

@@ -57,7 +57,6 @@ pub mod builders;
 pub mod dot;
 mod forest;
 mod graph;
-pub mod hierarchy;
 mod ids;
 pub mod io;
 mod link;
@@ -66,23 +65,19 @@ pub mod metrics;
 mod node;
 pub mod residual;
 pub mod route;
-pub mod route_approx;
-pub mod shard;
 pub mod snapshot;
 pub mod testbeds;
 pub mod unionfind;
 pub mod units;
 mod view;
 
+pub use forest::Extract;
 pub use graph::Topology;
-pub use hierarchy::Hierarchy;
 pub use ids::{EdgeId, NodeId};
 pub use link::{Direction, Link};
 pub use node::{Node, NodeKind};
 pub use residual::{LedgerState, ResidualView, ResourceClaim};
 pub use route::{Path, RouteScratch, RouteTable, Routes};
-pub use route_approx::{fan_out, RouteSketch};
-pub use shard::ShardPlan;
 pub use snapshot::{staleness_confidence, NetDelta, NetMetrics, NetSnapshot};
 pub use unionfind::UnionFind;
 pub use view::{Component, GraphView};
