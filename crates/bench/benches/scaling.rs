@@ -6,7 +6,10 @@
 //! * **Flat growth** — the §3.2 complexity claim on the flat engines: a
 //!   log-log sweep of `balanced` (and, beside it, `max_bandwidth`) over
 //!   random trees with the fitted growth exponent of `balanced` (the
-//!   paper claims O(n²); the sorted-edge engines do better).
+//!   paper claims O(n²); both engines are one sort and one union-find
+//!   pass), and one unpooled `balanced` solve on `hierarchical(1000, 99)`
+//!   — the whole-graph cost a pool chooser in front of the exact path
+//!   would have to beat (ROADMAP, Parked).
 //! * **Pooled growth** — what a request that names its candidates
 //!   costs: `hierarchical(d, 99)` at n ∈ {1 000, 10 000, 100 000} ×
 //!   an `allowed` pool of {64, 256} hosts × the three objectives, median
@@ -51,7 +54,9 @@ const POOLED_DOMAINS: [usize; 3] = [10, 100, 1000];
 const POOLS: [usize; 2] = [64, 256];
 
 /// The masked whole-graph solve is timed beside the pooled one up to
-/// this size (balanced takes 87 s at n = 100 000).
+/// this size: it is the shape where building the view could cost more
+/// than it saves. `flat_growth.unpooled_hierarchy` has the whole-graph
+/// cost at n = 100 000.
 const MASKED_LIMIT: usize = 1000;
 
 /// Median of the wall-clock samples, in microseconds.
@@ -69,12 +74,21 @@ fn validate_schema(doc: &serde_json::Value) {
     for key in ["smoke", "m", "iters", "flat_growth"] {
         assert!(s.get(key).is_some(), "scaling section lost `{key}`");
     }
-    for key in ["sizes", "ms", "max_bandwidth_ms", "exponent"] {
+    for key in [
+        "sizes",
+        "ms",
+        "max_bandwidth_ms",
+        "exponent",
+        "unpooled_hierarchy",
+    ] {
         assert!(
             s["flat_growth"].get(key).is_some(),
             "flat_growth lost `{key}`"
         );
     }
+    let unpooled = &s["flat_growth"]["unpooled_hierarchy"];
+    assert!(unpooled["n"].as_u64().is_some_and(|n| n > 0));
+    assert!(unpooled["balanced_ms"].as_f64().is_some_and(|ms| ms > 0.0));
 }
 
 /// Panics unless `doc` carries the pooled section in the promised shape.
@@ -235,6 +249,29 @@ fn main() {
         / (growth_sizes[growth_sizes.len() - 1] as f64 / growth_sizes[0] as f64).ln();
     eprintln!("  growth exponent (balanced) ≈ {exponent:.2} (paper claims O(n²))");
 
+    // One unpooled request on the pooled sweep's largest fabric (a tenth
+    // of it on a smoke run): every host eligible, the whole graph solved.
+    let unpooled_domains = if smoke { 100 } else { 1000 };
+    let (fabric, _) = conditioned_hierarchy(11, unpooled_domains, 99);
+    let unpooled_ms = median_us(
+        (0..flat_reps)
+            .map(|_| {
+                let t = Instant::now();
+                let solved = balanced(
+                    &fabric,
+                    M,
+                    Weights::EQUAL,
+                    &Constraints::none(),
+                    None,
+                    GreedyPolicy::Sweep,
+                );
+                std::hint::black_box(solved.unwrap());
+                t.elapsed().as_secs_f64()
+            })
+            .collect(),
+    ) / 1e3;
+    eprintln!("  unpooled balanced on hierarchical({unpooled_domains}, 99): {unpooled_ms:.1} ms");
+
     record(
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scaling.json"),
         "scaling",
@@ -247,6 +284,10 @@ fn main() {
                 "ms": growth_ms,
                 "max_bandwidth_ms": growth_maxbw_ms,
                 "exponent": exponent,
+                "unpooled_hierarchy": {
+                    "n": fabric.node_count(),
+                    "balanced_ms": unpooled_ms,
+                },
             },
         }),
         validate_schema,

@@ -66,17 +66,35 @@
 //!   nodes — O(E log E), and provably the same bottleneck optimum (the
 //!   state reached is exactly the last state of the deletion loop that
 //!   still hosts the application).
-//! * `balanced` walks the same sorted-edge order forward with incremental
-//!   component bookkeeping: deleting an edge touches only the component it
-//!   belonged to, splits are detected by one flood fill
-//!   ([`GraphView::flood_component`], reusing scratch buffers so
-//!   steady-state rounds allocate nothing), and the untouched components
-//!   keep their cached candidate sets and scores.
+//! * `balanced` under [`GreedyPolicy::Sweep`] is the same pass run to the
+//!   end. The loop's answer is the best score over all deletion states,
+//!   and states do not depend on the order they are met in: add the edges
+//!   in descending `(fraction, id)` order and every component of every
+//!   state appears at a union. At that moment the edge just added is the
+//!   smallest inside it, so its minimum fraction is that edge's — and
+//!   every later edge is smaller still, so a component never scores
+//!   better than at its birth; an edge that lands *inside* a component (a
+//!   chord, on a cyclic graph) starts a new, lower-scoring state of the
+//!   same node set. Each root carries what a state's score needs — the
+//!   eligible count, the `required` members, and the CPUs of its best
+//!   `m − |required|` other eligible members, merged and capped at each
+//!   union — and every state of a component that can host the application
+//!   is logged as an event `(score, birth step, death step, lowest node
+//!   id)`, edgeless singletons at fraction 1.0 included when `m = 1`. The
+//!   answer is the event with the maximum score; ties go the way the
+//!   forward loop's "first strictly better round, first component in id
+//!   order" sends them — to the event alive at the latest step (the
+//!   earliest forward round that reaches the maximum), then to the lowest
+//!   node id — and its node set is recovered by replaying the unions up
+//!   to its birth. O(E log E + E·m), against the loop's O(rounds · (V +
+//!   E)). [`GreedyPolicy::Faithful`] stops at the first non-improving
+//!   round, which *is* order-dependent: it runs the literal loop, as
+//!   `max_bandwidth` with `required` nodes does.
 //!
 //! Debug builds re-run the references after every fast-path call — on the
 //! graph that call solved, logical or whole — and assert byte-identical
 //! [`Selection`]s; the property tests in `tests/fastpath_parity.rs` do the
-//! same over random topologies.
+//! same over random topologies, continuous and tie-heavy.
 
 use crate::quality::{evaluate_in, Quality};
 use crate::request::{Constraints, GreedyPolicy, Objective, SelectionRequest};
@@ -266,6 +284,32 @@ impl<'a, T: NetMetrics> Context<'a, T> {
             }
         }
         view
+    }
+
+    /// The starting view's edges with their keys, in the order a deletion
+    /// loop removes them: ascending `(key, id)`, the tie-break of
+    /// [`GraphView::min_live_edge_by`]. The fast engines walk it backwards.
+    fn deletion_order(&self, key: impl Fn(EdgeId) -> f64) -> Vec<(f64, EdgeId)> {
+        let mut order: Vec<_> = self.base_view().live_edges().map(|e| (key(e), e)).collect();
+        order.sort_unstable_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)));
+        order
+    }
+
+    /// The members of `member`'s component in `uf`, and the compute nodes
+    /// among them, both ascending: what [`Context::pick_from_parts`] takes.
+    fn component_of(&self, uf: &mut UnionFind, member: NodeId) -> (Vec<NodeId>, Vec<NodeId>) {
+        let topo = self.net.structure();
+        let root = uf.find(member.index());
+        let nodes: Vec<NodeId> = topo
+            .node_ids()
+            .filter(|n| uf.find(n.index()) == root)
+            .collect();
+        let compute_nodes = nodes
+            .iter()
+            .copied()
+            .filter(|&n| topo.node(n).is_compute())
+            .collect();
+        (nodes, compute_nodes)
     }
 
     /// Fractional availability of an edge: `bw/maxbw`, or `bw/reference`
@@ -495,11 +539,7 @@ fn max_bandwidth_loop<T: NetMetrics>(ctx: &Context<T>) -> Result<Selection, Sele
 /// its `iterations` count — is byte-identical to the reference's.
 fn max_bandwidth_fast<T: NetMetrics>(ctx: &Context<T>) -> Solved {
     let topo = ctx.net.structure();
-    let view = ctx.base_view();
-    // Deletion order: ascending (bw, id), matching `min_live_edge_by`'s
-    // tie-breaking. The loop below walks it backwards.
-    let mut order: Vec<EdgeId> = view.live_edges().collect();
-    order.sort_unstable_by(|&x, &y| ctx.net.bw(x).total_cmp(&ctx.net.bw(y)).then(x.cmp(&y)));
+    let order = ctx.deletion_order(|e| ctx.net.bw(e));
     let live = order.len();
     if ctx.m == 1 {
         // The deletion loop runs to exhaustion and reads its answer off the
@@ -521,29 +561,20 @@ fn max_bandwidth_fast<T: NetMetrics>(ctx: &Context<T>) -> Solved {
             uf.seed_eligible(n.index(), ctx.net.effective_cpu(n));
         }
     }
-    let mut stop: Option<(usize, usize)> = None;
-    for (i, &e) in order.iter().rev().enumerate() {
+    let mut stop: Option<(NodeId, usize)> = None;
+    for (i, &(_, e)) in order.iter().rev().enumerate() {
         let l = topo.link(e);
         if let Some(root) = uf.union(l.a().index(), l.b().index()) {
             if uf.eligible_count(root) >= ctx.m {
-                stop = Some((root, i + 1));
+                stop = Some((l.a(), i + 1));
                 break;
             }
         }
     }
     // Never reaching `m` while adding edges means even the full graph has
     // no qualifying component: round one of the reference loop fails.
-    let (root, added) = stop.ok_or(SelectError::Unsatisfiable)?;
-    let mut nodes = Vec::new();
-    let mut compute_nodes = Vec::new();
-    for n in topo.node_ids() {
-        if uf.find(n.index()) == root {
-            nodes.push(n);
-            if topo.node(n).is_compute() {
-                compute_nodes.push(n);
-            }
-        }
-    }
+    let (member, added) = stop.ok_or(SelectError::Unsatisfiable)?;
+    let (nodes, compute_nodes) = ctx.component_of(&mut uf, member);
     let (chosen, _) = ctx
         .pick_from_parts(&nodes, &compute_nodes)
         .expect("stop component holds at least m eligible nodes");
@@ -596,19 +627,23 @@ pub fn balanced(
 /// competes in the sweep, so any of those members' CPU can move the
 /// winner; the history itself reads every edge's fraction.
 fn balanced_in<T: NetMetrics>(ctx: &Context<T>, weights: Weights, policy: GreedyPolicy) -> Solved {
-    let fast = balanced_fast(ctx, weights, policy);
-    #[cfg(debug_assertions)]
+    if policy == GreedyPolicy::Faithful {
+        // The stop rule depends on the order the rounds are met in.
+        return balanced_loop(ctx, weights, policy)
+            .map(|sel| (sel, SelectionFootprint::conservative()));
+    }
+    let sweep = balanced_sweep(ctx, weights);
     debug_assert_eq!(
-        fast.as_ref().map(|(sel, _)| sel),
+        sweep.as_ref().map(|(sel, _)| sel),
         balanced_loop(ctx, weights, policy).as_ref(),
-        "balanced fast path diverged from the Figure 3 deletion loop"
+        "balanced sweep diverged from the Figure 3 deletion loop"
     );
-    fast
+    sweep
 }
 
 /// The faithful Figure 3 deletion loop — rescan every edge, rebuild every
-/// component, re-pick every candidate set, each round — kept as the O(E²)
-/// reference the incremental engine is asserted against.
+/// component, re-pick every candidate set, each round — as the O(E²)
+/// reference the sweep engine is asserted against.
 #[cfg(any(test, feature = "oracle"))]
 pub fn balanced_reference(
     topo: &Topology,
@@ -626,9 +661,8 @@ pub fn balanced_reference(
     solve(topo, m, constraints, Procedure::BalancedReference(figure3)).map(|(sel, _)| sel)
 }
 
-// Compiled wherever something runs it: the debug parity assert in
-// `balanced_in`, and the oracle wrapper above.
-#[cfg(any(debug_assertions, test, feature = "oracle"))]
+/// Figure 3 as printed, O(rounds · (V + E)): what [`GreedyPolicy::Faithful`]
+/// runs and what [`balanced_sweep`] is held to in debug builds.
 fn balanced_loop<T: NetMetrics>(
     ctx: &Context<T>,
     weights: Weights,
@@ -687,184 +721,148 @@ fn balanced_loop<T: NetMetrics>(
     Ok(ctx.finish(nodes, weights, iterations))
 }
 
-/// Incrementally maintained component state for [`balanced_fast`].
-///
-/// A component is *dead* (`cand == None`) when it cannot host the
-/// application — too few eligible nodes or a missing required node. Both
-/// conditions are monotone under edge deletion, so dead components are
-/// never floodfilled or split again; their edges are skipped when the
-/// cursor reaches them.
-struct CompState {
-    /// Members, ascending.
-    nodes: Vec<NodeId>,
-    /// Compute-node members, ascending.
-    compute_nodes: Vec<NodeId>,
-    /// Live edges, *descending* by `(edge_fraction, id)`: the tail is the
-    /// component's minimum — and, because edges are deleted in ascending
-    /// global fraction order, it is always the next one deleted here.
-    edges: Vec<EdgeId>,
-    /// Cached `pick_from_parts` result; `None` marks the component dead.
-    cand: Option<(Vec<NodeId>, f64)>,
-    /// Cached `min(min_cpu/w_compute, min_frac/w_comm)`.
+/// One stretch of the deletion history over which a component that can
+/// host the application keeps both its node set and its minimum fraction.
+struct Event {
     score: f64,
+    /// Edges present when the stretch begins and when it ends, counted by
+    /// the reverse pass: step `s` is forward round `live - s + 1`.
+    birth: usize,
+    death: usize,
+    /// The component's lowest node id.
+    first: NodeId,
 }
 
-impl CompState {
-    fn rescore<T: NetMetrics>(&mut self, ctx: &Context<T>, weights: Weights) {
-        if let Some((_, min_cpu)) = self.cand {
-            let min_frac = match self.edges.last() {
-                Some(&e) => ctx.edge_fraction(e),
-                None => 1.0,
-            };
-            self.score = (min_cpu / weights.compute).min(min_frac / weights.comm);
+/// The `cap` largest values of two descending lists, descending.
+fn merge_top(a: Vec<f64>, b: Vec<f64>, cap: usize) -> Vec<f64> {
+    if a.is_empty() || b.is_empty() {
+        return if a.is_empty() { b } else { a };
+    }
+    let mut out = Vec::with_capacity(cap.min(a.len() + b.len()));
+    let (mut i, mut j) = (0, 0);
+    while out.len() < cap && (i < a.len() || j < b.len()) {
+        if j == b.len() || (i < a.len() && a[i] >= b[j]) {
+            out.push(a[i]);
+            i += 1;
+        } else {
+            out.push(b[j]);
+            j += 1;
         }
     }
+    out
 }
 
-/// The incremental Figure 3 engine.
-///
-/// Edge fractions are static per link, so the per-round "find the minimum
-/// fractional edge" scan collapses into one sort plus a cursor; deleting an
-/// edge touches only the component that owned it, with a single flood fill
-/// deciding split vs. no-split. Untouched components keep their cached
-/// candidate sets and scores, so a steady-state round costs one slab scan
-/// of float comparisons and allocates nothing.
-fn balanced_fast<T: NetMetrics>(
-    ctx: &Context<T>,
-    weights: Weights,
-    policy: GreedyPolicy,
-) -> Solved {
+/// Figure 3 under [`GreedyPolicy::Sweep`] as one union-find pass over the
+/// edges in descending fraction order (see the module docs): every state a
+/// hosting component goes through is logged as an [`Event`], and the
+/// answer is read off the event the forward loop would have kept.
+fn balanced_sweep<T: NetMetrics>(ctx: &Context<T>, weights: Weights) -> Solved {
     let topo = ctx.net.structure();
-    let mut view = ctx.base_view();
-    // Global deletion order: ascending (fraction, id), exactly the sequence
-    // `min_live_edge_by(edge_fraction)` produces round by round.
-    let mut order: Vec<EdgeId> = view.live_edges().collect();
-    order.sort_unstable_by(|&x, &y| {
-        ctx.edge_fraction(x)
-            .total_cmp(&ctx.edge_fraction(y))
-            .then(x.cmp(&y))
+    let order = ctx.deletion_order(|e| ctx.edge_fraction(e));
+    let (n, live) = (topo.node_count(), order.len());
+    // A hosting component's pick is the required nodes plus its `spare`
+    // best others, so its minimum CPU is the lower of the two groups'.
+    let spare = ctx.m - ctx.required.len();
+    let required_cpu = ctx
+        .required
+        .iter()
+        .map(|&r| ctx.net.effective_cpu(r))
+        .fold(f64::INFINITY, f64::min);
+    let score = |top: &[f64], frac: f64| {
+        let min_cpu = top.last().map_or(required_cpu, |&c| required_cpu.min(c));
+        (min_cpu / weights.compute).min(frac / weights.comm)
+    };
+    let mut uf = UnionFind::new(n);
+    // Per root: required members, lowest node id, the CPUs of the `spare`
+    // best eligible non-required members (descending), and the index of
+    // the event describing the component as it stands (if it can host).
+    let mut hits = vec![0usize; n];
+    let mut first: Vec<NodeId> = topo.node_ids().collect();
+    let mut top: Vec<Vec<f64>> = vec![Vec::new(); n];
+    let mut open = vec![usize::MAX; n];
+    let mut events: Vec<Event> = Vec::new();
+    for v in topo.node_ids().filter(|v| ctx.eligible[v.index()]) {
+        let cpu = ctx.net.effective_cpu(v);
+        uf.seed_eligible(v.index(), cpu);
+        if ctx.required.contains(&v) {
+            hits[v.index()] = 1;
+        } else if spare > 0 {
+            top[v.index()].push(cpu);
+        }
+    }
+    // Step 0 is the edgeless graph (fraction 1.0); steps 1..=live each add
+    // the largest edge left, whose fraction is then the minimum of the
+    // component it lands in — a new state of it, merged or not.
+    let steps = std::iter::once(None).chain(order.iter().rev().map(Some));
+    for (step, edge) in steps.enumerate() {
+        let (roots, frac) = match edge {
+            None => (0..n, 1.0),
+            Some(&(frac, e)) => {
+                let link = topo.link(e);
+                let (a, b) = (uf.find(link.a().index()), uf.find(link.b().index()));
+                for r in [a, b] {
+                    if let Some(ended) = events.get_mut(open[r]) {
+                        ended.death = step;
+                    }
+                }
+                let root = uf.union(a, b).unwrap_or(a);
+                if a != b {
+                    hits[root] = hits[a] + hits[b];
+                    first[root] = first[a].min(first[b]);
+                    top[root] = merge_top(
+                        std::mem::take(&mut top[a]),
+                        std::mem::take(&mut top[b]),
+                        spare,
+                    );
+                }
+                (root..root + 1, frac)
+            }
+        };
+        for r in roots {
+            if uf.eligible_count(r) >= ctx.m && hits[r] == ctx.required.len() {
+                open[r] = events.len();
+                events.push(Event {
+                    score: score(&top[r], frac),
+                    birth: step,
+                    death: live + 1,
+                    first: first[r],
+                });
+            }
+        }
+    }
+    // The forward loop keeps the first round that reaches the maximum —
+    // the event alive latest here — and in it the component met first.
+    let first_host = events.first().ok_or(SelectError::Unsatisfiable)?.birth;
+    let rank = |ev: &Event| (ev.death, std::cmp::Reverse(ev.first));
+    let win = events.iter().fold(&events[0], |best, ev| {
+        if ev.score > best.score || (ev.score == best.score && rank(ev) > rank(best)) {
+            ev
+        } else {
+            best
+        }
     });
-    let mut edge_comp = vec![u32::MAX; topo.link_count()];
-    let mut comps: Vec<CompState> = Vec::new();
-    let mut read = Vec::new();
-    for comp in view.components() {
-        let mut edges = comp.edges;
-        edges.sort_unstable_by(|&x, &y| {
-            ctx.edge_fraction(y)
-                .total_cmp(&ctx.edge_fraction(x))
-                .then(y.cmp(&x))
-        });
-        let slot = comps.len() as u32;
-        for &e in &edges {
-            edge_comp[e.index()] = slot;
-        }
-        let mut state = CompState {
-            cand: ctx.pick_from_parts(&comp.nodes, &comp.compute_nodes),
-            nodes: comp.nodes,
-            compute_nodes: comp.compute_nodes,
-            edges,
-            score: 0.0,
-        };
-        state.rescore(ctx, weights);
-        if state.cand.is_some() {
-            read.extend(ctx.eligible_of(&state.compute_nodes));
-        }
-        comps.push(state);
-    }
-    let mut flood: Vec<NodeId> = Vec::new();
-    let mut best: Option<(f64, Vec<NodeId>)> = None;
-    let mut cursor = 0usize;
-    let mut iterations = 0usize;
-    loop {
-        iterations += 1;
-        // The reference evaluates components in ascending minimum-node-id
-        // order and keeps the first maximum; slab order differs (split
-        // halves are appended), so the tie-break is made explicit.
-        let mut round_best: Option<(f64, NodeId, usize)> = None;
-        for (i, c) in comps.iter().enumerate() {
-            if c.cand.is_none() {
-                continue;
-            }
-            let first = c.nodes[0];
-            match round_best {
-                Some((b, bn, _)) if b > c.score || (b == c.score && bn < first) => {}
-                _ => round_best = Some((c.score, first, i)),
-            }
-        }
-        let Some((round_score, _, round_slot)) = round_best else {
-            break; // no component can host the application
-        };
-        let improved = match &best {
-            Some((b, _)) => round_score > *b,
-            None => true,
-        };
-        if improved {
-            let (nodes, _) = comps[round_slot].cand.as_ref().expect("live round best");
-            best = Some((round_score, nodes.clone()));
-        } else if policy == GreedyPolicy::Faithful && iterations > 1 {
-            break;
-        }
-        let Some(&e) = order.get(cursor) else {
-            break;
-        };
-        cursor += 1;
-        view.remove_edge(e);
-        let slot = edge_comp[e.index()] as usize;
-        if comps[slot].cand.is_none() {
-            continue; // dead component: splitting it cannot matter
-        }
-        let popped = comps[slot].edges.pop();
-        debug_assert_eq!(
-            popped,
-            Some(e),
-            "cursor edge must be its component's minimum"
-        );
+    let read = topo
+        .node_ids()
+        .filter(|v| ctx.eligible[v.index()] && open[uf.find(v.index())] != usize::MAX)
+        .collect();
+    uf.reset(n);
+    for &(_, e) in order.iter().rev().take(win.birth) {
         let link = topo.link(e);
-        view.flood_component(link.a(), &mut flood);
-        if view.last_flood_contains(link.b()) {
-            // Still connected: only the cached minimum fraction changed.
-            comps[slot].rescore(ctx, weights);
-            continue;
-        }
-        // Split: the flooded side moves to a fresh slot, the remainder
-        // keeps this one (so only the flooded side's edges remap).
-        flood.sort_unstable();
-        let a_compute: Vec<NodeId> = comps[slot]
-            .compute_nodes
-            .iter()
-            .copied()
-            .filter(|&n| view.last_flood_contains(n))
-            .collect();
-        let a_edges: Vec<EdgeId> = comps[slot]
-            .edges
-            .iter()
-            .copied()
-            .filter(|&x| view.last_flood_contains(topo.link(x).a()))
-            .collect();
-        let new_slot = comps.len() as u32;
-        for &x in &a_edges {
-            edge_comp[x.index()] = new_slot;
-        }
-        let old = &mut comps[slot];
-        old.nodes.retain(|&n| !view.last_flood_contains(n));
-        old.compute_nodes.retain(|&n| !view.last_flood_contains(n));
-        old.edges
-            .retain(|&x| !view.last_flood_contains(topo.link(x).a()));
-        old.cand = ctx.pick_from_parts(&old.nodes, &old.compute_nodes);
-        old.rescore(ctx, weights);
-        let mut side = CompState {
-            cand: ctx.pick_from_parts(&flood, &a_compute),
-            nodes: flood.clone(),
-            compute_nodes: a_compute,
-            edges: a_edges,
-            score: 0.0,
-        };
-        side.rescore(ctx, weights);
-        comps.push(side);
+        uf.union(link.a().index(), link.b().index());
     }
-    let (_, nodes) = best.ok_or(SelectError::Unsatisfiable)?;
+    let (nodes, compute_nodes) = ctx.component_of(&mut uf, win.first);
+    let (chosen, _) = ctx
+        .pick_from_parts(&nodes, &compute_nodes)
+        .expect("a logged component can host the application");
+    // One round per state that hosts, plus the failing one — unless
+    // singletons host, and the loop ends by running out of edges.
+    let iterations = if first_host == 0 {
+        live + 1
+    } else {
+        live - first_host + 2
+    };
     Ok((
-        ctx.finish(nodes, weights, iterations),
+        ctx.finish(chosen, weights, iterations),
         SelectionFootprint::reading(read, LinkFootprint::All),
     ))
 }
@@ -1252,6 +1250,124 @@ mod tests {
         assert_eq!(sweep.score, 1.0);
         // The faithful algorithm stops before uncovering {b1, b2}.
         assert!(faithful.score < sweep.score);
+    }
+
+    /// `balanced` under `Sweep` with equal weights, held to the literal
+    /// loop on the way out. One test per rule of the union-find sweep.
+    fn sweep(
+        topo: &Topology,
+        m: usize,
+        constraints: &Constraints,
+    ) -> Result<Selection, SelectError> {
+        let (w, policy) = (Weights::EQUAL, GreedyPolicy::Sweep);
+        let fast = balanced(topo, m, w, constraints, None, policy);
+        let literal = balanced_reference(topo, m, w, constraints, None, policy);
+        assert_eq!(fast, literal);
+        fast
+    }
+
+    /// Compute nodes `a`, `b` joined by a link at `fraction` of its capacity.
+    fn pair(topo: &mut Topology, names: [&str; 2], fraction: f64) -> [NodeId; 2] {
+        let a = topo.add_compute_node(names[0], 1.0);
+        let b = topo.add_compute_node(names[1], 1.0);
+        join(topo, a, b, fraction);
+        [a, b]
+    }
+
+    fn join(topo: &mut Topology, a: NodeId, b: NodeId, fraction: f64) {
+        let e = topo.add_link(a, b, 100.0 * MBPS);
+        for dir in [Direction::AtoB, Direction::BtoA] {
+            topo.set_link_used(e, dir, (1.0 - fraction) * 100.0 * MBPS);
+        }
+    }
+
+    #[test]
+    fn sweep_equal_components_go_to_the_lowest_node_id() {
+        // Two disjoint pairs, same score, both alive in round one. The
+        // reverse pass meets {b1, b2} first; the loop meets {a1, a2}.
+        let mut topo = Topology::new();
+        let a = pair(&mut topo, ["a1", "a2"], 1.0);
+        pair(&mut topo, ["b1", "b2"], 1.0);
+        assert_eq!(sweep(&topo, 2, &Constraints::none()).unwrap().nodes, a);
+    }
+
+    #[test]
+    fn sweep_keeps_the_earliest_round_that_reaches_the_maximum() {
+        // Chain a - b - c, every CPU 0.5, so CPU binds at 0.5 both in round
+        // one ({a, b, c}, picking a and b) and after a-b is deleted
+        // ({b, c}). The larger, earlier component wins the tie.
+        let mut topo = Topology::new();
+        let [a, b] = pair(&mut topo, ["a", "b"], 0.75);
+        let c = topo.add_compute_node("c", 1.0);
+        join(&mut topo, b, c, 1.0);
+        for n in [a, b, c] {
+            topo.set_load_avg(n, 1.0);
+        }
+        let sel = sweep(&topo, 2, &Constraints::none()).unwrap();
+        assert_eq!((sel.nodes, sel.score), (vec![a, b], 0.5));
+    }
+
+    #[test]
+    fn sweep_chord_ends_a_components_stay_at_the_maximum() {
+        // {a, b} has a second, half-used link: it scores 1.0 only once
+        // that chord is deleted, by which time {c, d} — higher ids, but at
+        // 1.0 since round one — holds the maximum.
+        let mut topo = Topology::new();
+        let [a, b] = pair(&mut topo, ["a", "b"], 1.0);
+        join(&mut topo, a, b, 0.5);
+        let cd = pair(&mut topo, ["c", "d"], 1.0);
+        let sel = sweep(&topo, 2, &Constraints::none()).unwrap();
+        assert_eq!((sel.nodes, sel.score), (cd.to_vec(), 1.0));
+    }
+
+    #[test]
+    fn sweep_single_node_is_scored_as_an_edgeless_component() {
+        // m = 1 behind congested links: a node scores its link's fraction
+        // until it is cut off, then min(cpu, 1.0). n2's link goes first, so
+        // n2 is the first idle node to stand alone — a state with no edge
+        // to be born from — and the loop runs out of edges.
+        let (mut topo, ids) = star(4, 100.0 * MBPS);
+        for (i, e) in topo.edge_ids().collect::<Vec<_>>().into_iter().enumerate() {
+            let used = if i == 2 { 90.0 } else { 75.0 };
+            topo.set_link_used(e, Direction::AtoB, used * MBPS);
+        }
+        let sel = sweep(&topo, 1, &Constraints::none()).unwrap();
+        assert_eq!((sel.nodes, sel.iterations), (vec![ids[2]], 5));
+    }
+
+    #[test]
+    fn sweep_counts_the_failing_round_after_a_floor_leaves_one_state() {
+        // The floor drops n3's link; the three nodes left host m = 3 in
+        // round one only, so the loop runs that round and the failing one.
+        let (mut topo, ids) = star(4, 100.0 * MBPS);
+        let last = topo.edge_ids().last().unwrap();
+        topo.set_link_used(last, Direction::AtoB, 90.0 * MBPS);
+        let floor = Constraints {
+            min_bandwidth: Some(50.0 * MBPS),
+            ..Constraints::none()
+        };
+        let sel = sweep(&topo, 3, &floor).unwrap();
+        assert_eq!((sel.nodes, sel.iterations), (ids[..3].to_vec(), 2));
+        assert_eq!(sweep(&topo, 4, &floor), Err(SelectError::Unsatisfiable));
+    }
+
+    #[test]
+    fn sweep_required_nodes_must_meet_in_one_component() {
+        // One pinned node per side of a dumbbell: only states that still
+        // hold the trunk can host, however good either side is alone.
+        let (mut topo, ids) = dumbbell(2, 100.0 * MBPS, 100.0 * MBPS);
+        let trunk = topo.edge_ids().next().unwrap();
+        topo.set_link_used(trunk, Direction::AtoB, 60.0 * MBPS);
+        let mut pinned = Constraints {
+            required: vec![ids[3], ids[0]],
+            ..Constraints::none()
+        };
+        for (m, nodes) in [(2, vec![ids[0], ids[3]]), (3, vec![ids[0], ids[1], ids[3]])] {
+            let sel = sweep(&topo, m, &pinned).unwrap();
+            assert_eq!((sel.nodes, sel.score), (nodes, 0.4));
+        }
+        pinned.min_bandwidth = Some(50.0 * MBPS);
+        assert_eq!(sweep(&topo, 2, &pinned), Err(SelectError::Unsatisfiable));
     }
 
     #[test]

@@ -149,7 +149,9 @@ pub enum SelectError {
     /// constraints simultaneously.
     Unsatisfiable,
     /// The balanced objective's priority weights are not both positive
-    /// and finite (see [`Weights::validate`]).
+    /// and finite (see [`Weights::validate`]), or an
+    /// [`AppSpec::comm_fraction`] they would be derived from is NaN or
+    /// outside `[0, 1]`.
     InvalidWeights,
     /// The measurement data behind the request is too old to answer a
     /// bandwidth-sensitive question honestly. Produced by service layers

@@ -73,12 +73,17 @@ impl Constraints {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum GreedyPolicy {
     /// Figure 3 verbatim: stop as soon as one round of edge removal fails
-    /// to strictly improve `minresource`.
+    /// to strictly improve `minresource`. The stop depends on the order
+    /// the rounds are met in, so this policy runs the literal loop —
+    /// O(rounds · (V + E)), every component rebuilt every round. It is the
+    /// ablation's policy; a service should ask for `Sweep`.
     Faithful,
     /// Keep deleting edges until no component can host the application,
-    /// and return the best set seen anywhere along the sweep. Same
-    /// asymptotic cost, never worse than `Faithful`, and provably optimal
-    /// on acyclic topologies (see the property tests).
+    /// and return the best set seen anywhere along the sweep: never worse
+    /// than `Faithful`, provably optimal on acyclic topologies (see the
+    /// property tests), and — the best state being independent of the
+    /// order states are met in — solved in one O(E log E + E·m)
+    /// union-find pass.
     #[default]
     Sweep,
 }

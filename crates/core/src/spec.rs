@@ -84,18 +84,28 @@ impl AppSpec {
     /// spending fraction `c` of its time communicating weights
     /// communication by `c / (1 - c)` relative to computation (clamped to
     /// a sane range so extreme specs stay numerically stable).
+    ///
+    /// # Panics
+    ///
+    /// When `comm_fraction` is NaN or outside `[0, 1]`. [`select_for_spec`]
+    /// returns [`SelectError::InvalidWeights`] for such a spec instead.
     pub fn weights(&self) -> Weights {
-        assert!(
-            (0.0..=1.0).contains(&self.comm_fraction),
-            "comm_fraction must be in [0, 1]"
-        );
+        self.checked_weights()
+            .expect("comm_fraction must be in [0, 1]")
+    }
+
+    /// [`AppSpec::weights`], or `None` where it would panic.
+    fn checked_weights(&self) -> Option<Weights> {
+        if !(0.0..=1.0).contains(&self.comm_fraction) {
+            return None;
+        }
         let c = self.comm_fraction.clamp(0.01, 0.99);
         let ratio = c / (1.0 - c);
-        if ratio >= 1.0 {
+        Some(if ratio >= 1.0 {
             Weights::comm_priority(ratio)
         } else {
             Weights::compute_priority(1.0 / ratio)
-        }
+        })
     }
 }
 
@@ -181,7 +191,7 @@ fn order_chain(topo: &Topology, nodes: &[NodeId]) -> Vec<NodeId> {
 
 /// Resolves a specification against a measured topology snapshot.
 pub fn select_for_spec(topo: &Topology, spec: &AppSpec) -> Result<SpecSelection, SelectError> {
-    let weights = spec.weights();
+    let weights = spec.checked_weights().ok_or(SelectError::InvalidWeights)?;
     let policy = GreedyPolicy::Sweep;
 
     // Client–server compiles to a grouped request.
@@ -281,6 +291,29 @@ mod tests {
         let mut spec = AppSpec::new("x", 2, CommPattern::AllToAll);
         spec.comm_fraction = 1.5;
         let _ = spec.weights();
+    }
+
+    #[test]
+    fn a_comm_fraction_outside_the_unit_interval_is_invalid_weights_not_a_panic() {
+        let (topo, _) = star(4, 100.0 * MBPS);
+        for pattern in [
+            CommPattern::AllToAll,
+            CommPattern::Independent,
+            CommPattern::ClientServer {
+                servers: 1,
+                server_pool: None,
+            },
+        ] {
+            for bad in [f64::NAN, -0.1, 1.5] {
+                let mut spec = AppSpec::new("x", 2, pattern.clone());
+                spec.comm_fraction = bad;
+                assert_eq!(
+                    select_for_spec(&topo, &spec),
+                    Err(SelectError::InvalidWeights),
+                    "comm_fraction {bad}"
+                );
+            }
+        }
     }
 
     #[test]

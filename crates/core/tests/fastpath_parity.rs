@@ -7,6 +7,13 @@
 //! Every comparison is on the full `Result<Selection, SelectError>`:
 //! nodes, quality, score, *and* iteration counts must agree exactly, and
 //! so must error cases.
+//!
+//! Continuous draws almost never tie, and ties are where the balanced
+//! sweep — one descending union-find pass standing in for the forward
+//! loop — can pick a different round or component. `tie_heavy_topology`
+//! draws loads and utilizations from three values each and adds parallel
+//! links, so equal scores, equal fractions and chords that end a
+//! component's stay at the maximum are the common case.
 
 use std::collections::HashSet;
 
@@ -46,6 +53,32 @@ fn random_topology(
         for dir in [Direction::AtoB, Direction::BtoA] {
             let cap = topo.link(e).capacity(dir);
             topo.set_link_used(e, dir, cap * rng.random_range(0.0..0.95));
+        }
+    }
+    (topo, compute_ids)
+}
+
+/// Tree plus up to six chords (a chord may double an existing link), loads
+/// from {0, 1, 2} and per-link utilization from {0, 0.25, 0.5}: most
+/// scores and fractions tie.
+fn tie_heavy_topology(seed: u64, computes: usize, networks: usize) -> (Topology, Vec<NodeId>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (mut topo, compute_ids) = random_tree(&mut rng, computes, networks, 100.0 * MBPS);
+    let all: Vec<NodeId> = topo.node_ids().collect();
+    for _ in 0..rng.random_range(0..7) {
+        let a = all[rng.random_range(0..all.len())];
+        let b = all[rng.random_range(0..all.len())];
+        if a != b {
+            topo.add_link(a, b, 100.0 * MBPS);
+        }
+    }
+    for n in compute_ids.iter().copied() {
+        topo.set_load_avg(n, rng.random_range(0..3) as f64);
+    }
+    for e in topo.edge_ids().collect::<Vec<_>>() {
+        let used = 0.25 * rng.random_range(0..3) as f64;
+        for dir in [Direction::AtoB, Direction::BtoA] {
+            topo.set_link_used(e, dir, topo.link(e).capacity(dir) * used);
         }
     }
     (topo, compute_ids)
@@ -93,7 +126,7 @@ proptest! {
     }
 
     #[test]
-    fn balanced_fast_path_is_byte_identical(
+    fn balanced_is_byte_identical_to_the_reference(
         seed in 0u64..100_000,
         computes in 2usize..12,
         networks in 0usize..8,
@@ -116,6 +149,56 @@ proptest! {
             );
         }
     }
+
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn balanced_sweep_breaks_ties_like_the_deletion_loop(
+        seed in 0u64..1_000_000,
+        computes in 2usize..12,
+        networks in 0usize..8,
+    ) {
+        let (topo, ids) = tie_heavy_topology(seed, computes, networks);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x7165);
+        let mut constraints = Constraints::none();
+        for _ in 0..rng.random_range(0..3) {
+            let r = ids[rng.random_range(0..ids.len())];
+            if !constraints.required.contains(&r) {
+                constraints.required.push(r);
+            }
+        }
+        match rng.random_range(0..6) {
+            0 => constraints.min_cpu = Some(0.5),
+            1 => constraints.min_bandwidth = Some(75.0 * MBPS),
+            2 => {
+                let keep = 1 + rng.random_range(0..ids.len());
+                constraints.allowed = Some(ids.iter().copied().take(keep).collect());
+            }
+            _ => {}
+        }
+        let reference = (seed % 2 == 0).then_some(200.0 * MBPS);
+        for m in 1..=ids.len().min(5) {
+            for weights in [
+                Weights::EQUAL,
+                Weights::comm_priority(2.0),
+                Weights::compute_priority(2.0),
+            ] {
+                prop_assert_eq!(
+                    balanced(&topo, m, weights, &constraints, reference, GreedyPolicy::Sweep),
+                    balanced_reference(&topo, m, weights, &constraints, reference, GreedyPolicy::Sweep),
+                    "m {} weights {:?} constraints {:?}", m, weights, constraints
+                );
+            }
+        }
+    }
+
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn pruned_parallel_oracle_matches_serial_unpruned(

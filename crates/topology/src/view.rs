@@ -8,15 +8,10 @@ use crate::{EdgeId, NodeId, Topology};
 /// the minimum available bandwidth" and recompute connected components.
 /// `GraphView` supports that loop without cloning or mutating the underlying
 /// snapshot: removal flips a bit, and component computation skips removed
-/// edges. Two additions serve the fast-path engines in `nodesel-core`:
-///
-/// * a **compact live-edge list** maintained under removal/restore, so that
-///   repeated scans ([`GraphView::live_edges`],
-///   [`GraphView::min_live_edge_by`]) touch only surviving edges instead of
-///   re-filtering the full edge set every round;
-/// * **reusable flood scratch** ([`GraphView::flood_component`]), so the
-///   incremental split bookkeeping of the balanced engine allocates nothing
-///   in steady state.
+/// edges. A **compact live-edge list** is maintained under removal/restore,
+/// so that repeated scans ([`GraphView::live_edges`],
+/// [`GraphView::min_live_edge_by`]) touch only surviving edges instead of
+/// re-filtering the full edge set every round.
 #[derive(Debug, Clone)]
 pub struct GraphView<'a> {
     topo: &'a Topology,
@@ -26,11 +21,6 @@ pub struct GraphView<'a> {
     /// `live`, or `usize::MAX` while removed.
     live: Vec<EdgeId>,
     live_pos: Vec<usize>,
-    /// Flood-fill scratch: `mark[n] == mark_stamp` iff `n` was reached by
-    /// the most recent [`GraphView::flood_component`].
-    mark: Vec<u32>,
-    mark_stamp: u32,
-    stack: Vec<NodeId>,
 }
 
 /// One connected component of a [`GraphView`].
@@ -60,9 +50,6 @@ impl<'a> GraphView<'a> {
             removed_count: 0,
             live: topo.edge_ids().collect(),
             live_pos: (0..topo.link_count()).collect(),
-            mark: vec![0; topo.node_count()],
-            mark_stamp: 0,
-            stack: Vec::new(),
         }
     }
 
@@ -210,42 +197,6 @@ impl<'a> GraphView<'a> {
         false
     }
 
-    /// Collects the nodes of the live component containing `start` into
-    /// `out` (cleared first, unsorted discovery order) using internal
-    /// scratch buffers — no allocation in steady state.
-    ///
-    /// After the call, [`GraphView::last_flood_contains`] answers membership
-    /// queries against this flood in O(1). This is the primitive behind the
-    /// incremental split bookkeeping of the balanced fast path: when an
-    /// edge `(a, b)` is deleted, one flood from `a` both detects whether the
-    /// component split and, if so, yields the `a`-side node set.
-    pub fn flood_component(&mut self, start: NodeId, out: &mut Vec<NodeId>) {
-        out.clear();
-        if self.mark_stamp == u32::MAX {
-            self.mark.fill(0);
-            self.mark_stamp = 0;
-        }
-        self.mark_stamp += 1;
-        let stamp = self.mark_stamp;
-        self.mark[start.index()] = stamp;
-        self.stack.push(start);
-        while let Some(v) = self.stack.pop() {
-            out.push(v);
-            for &(e, w) in self.topo.neighbors(v) {
-                if !self.removed[e.index()] && self.mark[w.index()] != stamp {
-                    self.mark[w.index()] = stamp;
-                    self.stack.push(w);
-                }
-            }
-        }
-    }
-
-    /// True when `n` was reached by the most recent
-    /// [`GraphView::flood_component`] call.
-    pub fn last_flood_contains(&self, n: NodeId) -> bool {
-        self.mark_stamp != 0 && self.mark[n.index()] == self.mark_stamp
-    }
-
     /// Size (in compute nodes) of the largest component, together with that
     /// component. This is the `L` / `l` of Figure 2.
     pub fn largest_compute_component(&self) -> Option<Component> {
@@ -366,23 +317,6 @@ mod tests {
         assert_eq!(v.live_edges().collect::<Vec<_>>(), vec![edges[1]]);
         // min_live_edge_by agrees with a brute-force scan after churn.
         assert_eq!(v.min_live_edge_by(|_| 1.0), Some(edges[1]));
-    }
-
-    #[test]
-    fn flood_component_matches_components() {
-        let (t, nodes, edges) = star();
-        let mut v = GraphView::new(&t);
-        v.remove_edge(edges[0]);
-        let mut out = Vec::new();
-        v.flood_component(nodes[0], &mut out);
-        out.sort_unstable();
-        assert_eq!(out, vec![nodes[0], nodes[2], nodes[3]]);
-        assert!(v.last_flood_contains(nodes[2]));
-        assert!(!v.last_flood_contains(nodes[1]));
-        // A second flood reuses the scratch and re-stamps membership.
-        v.flood_component(nodes[1], &mut out);
-        assert_eq!(out, vec![nodes[1]]);
-        assert!(!v.last_flood_contains(nodes[0]));
     }
 
     #[test]
