@@ -7,8 +7,8 @@
 //! under different estimators (latest / window mean / EWMA / trend), a
 //! ground-truth oracle, and a sweep of collector periods.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use nodesel_apps::{fft::fft_program, AppModel};
+use nodesel_bench::time_one;
 use nodesel_experiments::{mean, run_trials, Condition, Strategy, Testbed, TrialConfig};
 use nodesel_remos::{CollectorConfig, Estimator};
 use std::hint::black_box;
@@ -24,7 +24,7 @@ fn config_with(estimator: Estimator, period: f64) -> TrialConfig {
     }
 }
 
-fn bench_ablation(c: &mut Criterion) {
+fn main() {
     let testbed = Testbed::cmu();
     let app = AppModel::Phased(fft_program(32));
     let reps = 12;
@@ -91,15 +91,11 @@ fn bench_ablation(c: &mut Criterion) {
         eprintln!("  period {period:>6.0} s: mean {t:>7.1} s");
     }
 
-    // Criterion measurement: a single automatic trial per estimator.
-    let mut group = c.benchmark_group("ablation_estimator");
-    group.sample_size(10);
+    eprintln!("=== Cost: one automatic trial per estimator ===");
     for (name, est) in estimators {
         let cfg = config_with(est, 5.0);
-        group.bench_function(name, |b| {
-            let mut seed = 0u64;
-            b.iter(|| {
-                seed += 1;
+        let secs = time_one(
+            || {
                 black_box(nodesel_experiments::run_trial(
                     &testbed,
                     &app,
@@ -107,13 +103,11 @@ fn bench_ablation(c: &mut Criterion) {
                     Strategy::Automatic,
                     Condition::Both,
                     &cfg,
-                    seed,
-                ))
-            })
-        });
+                    1,
+                ));
+            },
+            1,
+        );
+        eprintln!("  {name:<16} {:>7.1} ms", secs * 1e3);
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_ablation);
-criterion_main!(benches);

@@ -7,13 +7,12 @@
 //! * Fixed bandwidth floors: maximize CPU under a minimum-bandwidth
 //!   constraint.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use nodesel_bench::conditioned_tree;
+use nodesel_bench::{conditioned_tree, time_one};
 use nodesel_core::{balanced, max_compute, Constraints, GreedyPolicy, Weights};
 use nodesel_topology::units::MBPS;
 use std::hint::black_box;
 
-fn bench_policy(c: &mut Criterion) {
+fn main() {
     // Solution-quality comparison across many seeded instances.
     let instances = 200;
     let mut faithful_wins = 0usize;
@@ -114,20 +113,18 @@ fn bench_policy(c: &mut Criterion) {
         }
     }
 
-    let mut group = c.benchmark_group("ablation_policy");
+    eprintln!("=== Cost: one balanced selection per policy (100-node instance, m=8) ===");
     let (topo, ids) = conditioned_tree(3, 100);
     let m = 8.min(ids.len());
     for policy in [GreedyPolicy::Faithful, GreedyPolicy::Sweep] {
-        group.bench_function(format!("{policy:?}"), |b| {
-            b.iter(|| {
+        let secs = time_one(
+            || {
                 black_box(
                     balanced(&topo, m, Weights::EQUAL, &Constraints::none(), None, policy).unwrap(),
-                )
-            })
-        });
+                );
+            },
+            3,
+        );
+        eprintln!("  {:<10} {:>8.1} us", format!("{policy:?}"), secs * 1e6);
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_policy);
-criterion_main!(benches);

@@ -1,14 +1,13 @@
 //! Regenerates **Figure 2** (the max-bandwidth selection algorithm): runs
-//! it on a conditioned testbed, shows the selected set, and benchmarks the
+//! it on a conditioned testbed, shows the selected set, and times the
 //! algorithm across topology sizes.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use nodesel_bench::conditioned_tree;
+use nodesel_bench::{conditioned_tree, time_one};
 use nodesel_core::{max_bandwidth, Constraints};
 use nodesel_topology::units::MBPS;
 use std::hint::black_box;
 
-fn bench_fig2(c: &mut Criterion) {
+fn main() {
     // Demonstrate the algorithm once on a conditioned tree.
     let (topo, _) = conditioned_tree(7, 40);
     let sel = max_bandwidth(&topo, 6, &Constraints::none()).unwrap();
@@ -20,16 +19,16 @@ fn bench_fig2(c: &mut Criterion) {
         sel.iterations
     );
 
-    let mut group = c.benchmark_group("fig2_maxbw");
+    eprintln!("{:>6} {:>12}", "nodes", "select (us)");
     for nodes in [20usize, 40, 80, 160, 320] {
         let (topo, ids) = conditioned_tree(7, nodes);
         let m = 6.min(ids.len());
-        group.bench_with_input(BenchmarkId::from_parameter(nodes), &nodes, |b, _| {
-            b.iter(|| black_box(max_bandwidth(&topo, m, &Constraints::none()).unwrap()))
-        });
+        let secs = time_one(
+            || {
+                black_box(max_bandwidth(&topo, m, &Constraints::none()).unwrap());
+            },
+            3,
+        );
+        eprintln!("{nodes:>6} {:>12.1}", secs * 1e6);
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_fig2);
-criterion_main!(benches);

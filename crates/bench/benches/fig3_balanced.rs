@@ -1,13 +1,12 @@
 //! Regenerates **Figure 3** (the balanced computation/communication
 //! selection algorithm): demonstrates it on a conditioned testbed and
-//! benchmarks it across topology sizes and both greedy policies.
+//! times it across topology sizes and both greedy policies.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use nodesel_bench::conditioned_tree;
+use nodesel_bench::{conditioned_tree, time_one};
 use nodesel_core::{balanced, Constraints, GreedyPolicy, Weights};
 use std::hint::black_box;
 
-fn bench_fig3(c: &mut Criterion) {
+fn main() {
     let (topo, _) = conditioned_tree(9, 40);
     let sel = balanced(
         &topo,
@@ -28,27 +27,24 @@ fn bench_fig3(c: &mut Criterion) {
         sel.iterations
     );
 
-    let mut group = c.benchmark_group("fig3_balanced");
+    eprintln!(
+        "{:>6} {:>14} {:>12}",
+        "nodes", "faithful (us)", "sweep (us)"
+    );
     for nodes in [20usize, 40, 80, 160, 320] {
         let (topo, ids) = conditioned_tree(9, nodes);
         let m = 6.min(ids.len());
-        for policy in [GreedyPolicy::Faithful, GreedyPolicy::Sweep] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("{policy:?}"), nodes),
-                &nodes,
-                |b, _| {
-                    b.iter(|| {
-                        black_box(
-                            balanced(&topo, m, Weights::EQUAL, &Constraints::none(), None, policy)
-                                .unwrap(),
-                        )
-                    })
+        let [faithful, sweep] = [GreedyPolicy::Faithful, GreedyPolicy::Sweep].map(|policy| {
+            time_one(
+                || {
+                    black_box(
+                        balanced(&topo, m, Weights::EQUAL, &Constraints::none(), None, policy)
+                            .unwrap(),
+                    );
                 },
-            );
-        }
+                3,
+            )
+        });
+        eprintln!("{nodes:>6} {:>14.1} {:>12.1}", faithful * 1e6, sweep * 1e6);
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_fig3);
-criterion_main!(benches);

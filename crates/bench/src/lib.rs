@@ -1,10 +1,9 @@
-//! Shared helpers for the table/figure benches.
+//! Shared helpers for the figure, ablation and scaling benches.
 //!
-//! Each bench in `benches/` regenerates one artifact of the paper's
-//! evaluation (printed once, before measurement) and then measures the
-//! computation that produces it, so `cargo bench` doubles as the
-//! reproduction harness. The helpers here build the standard randomized
-//! inputs the benches sweep over.
+//! Each bench in `benches/` is a plain `main` that prints its table —
+//! an algorithm figure of the paper, an ablation, or a speed-up sweep —
+//! and times each cell with [`time_one`]. The helpers here build the
+//! standard randomized inputs the benches sweep over.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -14,6 +13,20 @@ use nodesel_topology::units::MBPS;
 use nodesel_topology::{NodeId, Topology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::time::Instant;
+
+/// Median-of-`iters` wall time of one call of `f`, in seconds.
+pub fn time_one(mut f: impl FnMut(), iters: usize) -> f64 {
+    let mut samples: Vec<f64> = (0..iters)
+        .map(|_| {
+            let t = Instant::now();
+            f();
+            t.elapsed().as_secs_f64()
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
 
 /// A seeded random tree (half compute, half network nodes) with random
 /// load and traffic conditions — the standard input for the algorithm

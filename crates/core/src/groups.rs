@@ -188,10 +188,9 @@ fn place_groups(
 /// assert_eq!(sel.combined.nodes.len(), 5);
 /// ```
 ///
-/// # Panics
-///
-/// When a [`GroupSpec`]'s own constraints set `min_bandwidth`: a
-/// bandwidth floor holds across the whole combined set, so it belongs in
+/// A [`GroupSpec`] whose own constraints set `min_bandwidth` is
+/// [`SelectError::PerGroupBandwidthFloor`]: a bandwidth floor holds
+/// across the whole combined set, so it belongs in
 /// [`GroupedRequest::min_bandwidth`].
 pub fn select_groups(
     topo: &Topology,
@@ -207,10 +206,9 @@ pub fn select_groups(
         if spec.count == 0 {
             return Err(SelectError::ZeroCount);
         }
-        assert!(
-            spec.constraints.min_bandwidth.is_none(),
-            "per-group min_bandwidth is not supported; set GroupedRequest::min_bandwidth"
-        );
+        if spec.constraints.min_bandwidth.is_some() {
+            return Err(SelectError::PerGroupBandwidthFloor);
+        }
         if spec.constraints.required.len() > spec.count {
             return Err(SelectError::TooManyRequired {
                 required: spec.constraints.required.len(),
@@ -460,6 +458,26 @@ mod tests {
             select_groups(&topo, &req),
             Err(SelectError::ZeroCount)
         ));
+    }
+
+    #[test]
+    fn per_group_bandwidth_floor_is_a_typed_error() {
+        let (topo, _) = star(3, 100.0 * MBPS);
+        let req = GroupedRequest::new(vec![
+            GroupSpec::new("a", 1),
+            GroupSpec {
+                name: "b".into(),
+                count: 1,
+                constraints: Constraints {
+                    min_bandwidth: Some(10.0 * MBPS),
+                    ..Constraints::none()
+                },
+            },
+        ]);
+        assert_eq!(
+            select_groups(&topo, &req),
+            Err(SelectError::PerGroupBandwidthFloor)
+        );
     }
 
     #[test]

@@ -43,22 +43,21 @@
 //!
 //! # Ground truth
 //!
-//! [`exhaustive_select`] provides a brute-force optimum for test-sized
-//! graphs; the property tests assert the greedy algorithms (with
-//! [`GreedyPolicy::Sweep`]) match it exactly on acyclic topologies, where
-//! the paper's arguments are tight.
+//! [`exhaustive_select`] is the brute-force optimum for test-sized
+//! graphs — one thread, every subset in lexicographic order, one full
+//! [`evaluate`] each, first best wins; the property tests assert the
+//! greedy algorithms (with [`GreedyPolicy::Sweep`]) match it exactly on
+//! acyclic topologies, where the paper's arguments are tight.
 //!
 //! # Performance
 //!
 //! The public greedy entry points run near-linear sorted-edge/union-find
 //! engines instead of the paper's literal O(E²) loops; the literal loops
 //! stay as the oracles those engines are asserted byte-identical to, in
-//! every debug build and in the `fastpath_parity` property tests.
-//! [`exhaustive_select`] prunes and parallelizes the subset search
-//! against an unpruned baseline kept the same way. The oracles are test
-//! fixtures, not API: their three entry points are exported only under
-//! the `oracle` cargo feature, which the parity suites and the
-//! `selection_fastpath` bench enable (`cargo doc --features oracle`
+//! every debug build and in the `fastpath_parity` property tests. The
+//! oracles are test fixtures, not API: their entry points are exported
+//! only under the `oracle` cargo feature, which the parity suites and
+//! the `selection_fastpath` bench enable (`cargo doc --features oracle`
 //! documents them).
 //!
 //! A request that names its candidates ([`Constraints::allowed`]) on an
@@ -110,12 +109,10 @@ pub use algorithms::{balanced, max_bandwidth, max_compute, select, Selection};
 pub use algorithms::{balanced_reference, max_bandwidth_reference, select_masked};
 pub use baseline::{random_selection, static_selection};
 pub use canonical::CanonicalRequest;
-#[cfg(any(test, feature = "oracle"))]
-pub use exhaustive::exhaustive_select_reference;
-pub use exhaustive::{exhaustive_select, Combinations, ExhaustiveObjective};
+pub use exhaustive::{exhaustive_select, ExhaustiveObjective};
 pub use groups::{select_groups, GroupSpec, GroupedRequest, GroupedSelection};
 pub use latency::{pairwise_latency, select_within_latency};
-pub use quality::{evaluate, evaluate_in, PairwiseCache, Quality};
+pub use quality::{evaluate, evaluate_in, Quality};
 pub use request::{Constraints, GreedyPolicy, Objective, SelectionRequest};
 pub use selector::{selector_for, FlatSelector, LinkFootprint, SelectionFootprint, Selector};
 pub use sizing::{select_node_count, LooselySynchronousModel, PerformanceModel, SizedSelection};
@@ -153,6 +150,10 @@ pub enum SelectError {
     /// [`AppSpec::comm_fraction`] they would be derived from is NaN or
     /// outside `[0, 1]`.
     InvalidWeights,
+    /// A [`GroupSpec`]'s own constraints set `min_bandwidth`: a bandwidth
+    /// floor holds across the whole combined set, so it belongs in
+    /// [`GroupedRequest::min_bandwidth`].
+    PerGroupBandwidthFloor,
     /// The measurement data behind the request is too old to answer a
     /// bandwidth-sensitive question honestly. Produced by service layers
     /// running a degraded-mode policy (see `nodesel-service`); [`select`]
@@ -184,6 +185,10 @@ impl core::fmt::Display for SelectError {
             SelectError::InvalidWeights => {
                 write!(f, "priority weights must be positive and finite")
             }
+            SelectError::PerGroupBandwidthFloor => write!(
+                f,
+                "per-group min_bandwidth is not supported; set GroupedRequest::min_bandwidth"
+            ),
             SelectError::DataTooStale => {
                 write!(
                     f,

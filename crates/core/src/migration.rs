@@ -6,25 +6,21 @@
 //! application itself must be captured separately as it is not due to a
 //! competing process."
 //!
-//! [`discount_own_usage`] removes the application's own footprint from a
-//! measured topology snapshot; [`advise`] then compares the quality of the
-//! current placement against a fresh selection and recommends migration
-//! when the improvement clears a hysteresis threshold (migration is not
-//! free, so marginal gains should not trigger it).
-//!
-//! A periodic advisor re-runs this every measurement epoch. [`Advisor`]
-//! is the snapshot-world form: the same procedure over a [`NetSnapshot`],
-//! with the own footprint applied as a [`NetDelta`] via [`discount_delta`]
-//! (preserving structural sharing instead of cloning a topology).
+//! [`discount_delta`] is the [`NetDelta`] that removes the application's
+//! own footprint from a measured [`NetSnapshot`] (applied with structural
+//! sharing, nothing cloned); [`Advisor::advise`] then compares the quality
+//! of the current placement against a fresh selection on the discounted
+//! snapshot and recommends migration when the improvement clears a
+//! hysteresis threshold (migration is not free, so marginal gains should
+//! not trigger it). A periodic advisor calls it once per measurement
+//! epoch; nothing is carried between epochs.
 
 use crate::algorithms::select_in;
 use crate::quality::{evaluate_in, Quality};
 use crate::request::SelectionRequest;
 use crate::weights::Weights;
 use crate::{Objective, SelectError, Selection};
-use nodesel_topology::{
-    Direction, EdgeId, NetDelta, NetMetrics, NetSnapshot, NodeId, RouteTable, Topology,
-};
+use nodesel_topology::{Direction, EdgeId, NetDelta, NetMetrics, NetSnapshot, NodeId, RouteTable};
 
 /// The application's own resource footprint, to be subtracted from
 /// measurements before deciding on migration.
@@ -49,25 +45,9 @@ impl OwnUsage {
     }
 }
 
-/// Returns a copy of the snapshot with the application's own load and
-/// traffic removed (clamped at zero).
-pub fn discount_own_usage(topo: &Topology, own: &OwnUsage) -> Topology {
-    let mut t = topo.clone();
-    for &(n, load) in &own.load {
-        let current = t.node(n).load_avg();
-        t.set_load_avg(n, (current - load).max(0.0));
-    }
-    for &(e, dir, bits) in &own.traffic {
-        let current = t.link(e).used(dir);
-        t.set_link_used(e, dir, (current - bits).max(0.0));
-    }
-    t
-}
-
 /// The [`NetDelta`] that removes `own` from `snap`'s annotations, each
-/// clamped at zero — the snapshot-world [`discount_own_usage`]. Repeated
-/// entries for the same node or directed link subtract cumulatively,
-/// matching the topology-mutating form.
+/// clamped at zero. Repeated entries for the same node or directed link
+/// subtract cumulatively.
 pub fn discount_delta(snap: &NetSnapshot, own: &OwnUsage) -> NetDelta {
     let mut delta = NetDelta::default();
     for &(n, load) in &own.load {
@@ -127,76 +107,22 @@ impl MigrationAdvice {
     }
 }
 
-/// Evaluates whether a running application should migrate.
-///
-/// `snapshot` is the measured topology *including* the application's own
-/// footprint; `own` describes that footprint so it can be discounted.
-/// `improvement_threshold` is the relative score gain required to
-/// recommend a move (e.g. `0.25` = "only migrate for a ≥25% better
-/// score").
-pub fn advise(
-    snapshot: &Topology,
-    current: &[NodeId],
-    own: &OwnUsage,
-    request: &SelectionRequest,
-    improvement_threshold: f64,
-) -> Result<MigrationAdvice, SelectError> {
-    assert!(improvement_threshold >= 0.0);
-    // An empty footprint would clone the whole snapshot only to change
-    // nothing; borrow it instead (periodic advisors often poll with no
-    // attributed traffic).
-    let storage;
-    let discounted: &Topology = if own.load.is_empty() && own.traffic.is_empty() {
-        snapshot
-    } else {
-        storage = discount_own_usage(snapshot, own);
-        &storage
-    };
-    advise_on(discounted, current, request, improvement_threshold)
-}
-
-/// [`advise`] on measurements that already exclude the application's own
-/// footprint: a fresh solve, scored against the `current` placement.
-fn advise_on<T: NetMetrics>(
-    discounted: &T,
-    current: &[NodeId],
-    request: &SelectionRequest,
-    improvement_threshold: f64,
-) -> Result<MigrationAdvice, SelectError> {
-    assert_eq!(
-        current.len(),
-        request.count,
-        "request count must match the current placement size"
-    );
-    let best = select_in(discounted, request)?;
-    let table = RouteTable::build_for_sources(discounted.structure(), current.iter().copied());
-    let current_quality = evaluate_in(discounted, &table, current, request.reference_bandwidth);
-    let weights = match request.objective {
-        Objective::Balanced(w) => w,
-        _ => Weights::EQUAL,
-    };
-    let current_score = current_quality.score(weights);
-    let recommended =
-        best.score > current_score * (1.0 + improvement_threshold) && best.nodes != current;
-    Ok(MigrationAdvice {
-        current_quality,
-        current_score,
-        best,
-        recommended,
-    })
-}
-
-/// A migration advisor over a stream of snapshot epochs: [`advise`] per
-/// epoch for one request and hysteresis threshold, stateless between
-/// epochs ("the solution procedure can be applied directly").
+/// A migration advisor over a stream of snapshot epochs: one request,
+/// one hysteresis threshold, stateless between epochs ("the solution
+/// procedure can be applied directly").
 pub struct Advisor {
     request: SelectionRequest,
     improvement_threshold: f64,
 }
 
 impl Advisor {
-    /// An advisor for `request` with the given hysteresis threshold (see
-    /// [`advise`]).
+    /// An advisor for `request`. `improvement_threshold` is the relative
+    /// score gain required to recommend a move (e.g. `0.25` = "only
+    /// migrate for a ≥25% better score").
+    ///
+    /// # Panics
+    ///
+    /// When `improvement_threshold` is negative or NaN.
     pub fn new(request: SelectionRequest, improvement_threshold: f64) -> Advisor {
         assert!(improvement_threshold >= 0.0);
         Advisor {
@@ -205,14 +131,28 @@ impl Advisor {
         }
     }
 
-    /// One epoch of [`advise`]: discounts `own` from `snapshot`, solves
-    /// the request afresh, and scores the `current` placement.
+    /// Evaluates whether a running application should migrate.
+    ///
+    /// `snapshot` is the measured network *including* the application's
+    /// own footprint; `own` describes that footprint so it can be
+    /// discounted (an empty one borrows the snapshot as measured). The
+    /// request is solved afresh on the discounted snapshot and scored
+    /// against the `current` placement.
+    ///
+    /// # Panics
+    ///
+    /// When `current.len()` differs from the request's count.
     pub fn advise(
         &self,
         snapshot: &NetSnapshot,
         current: &[NodeId],
         own: &OwnUsage,
     ) -> Result<MigrationAdvice, SelectError> {
+        assert_eq!(
+            current.len(),
+            self.request.count,
+            "request count must match the current placement size"
+        );
         let discount = discount_delta(snapshot, own);
         let storage;
         let discounted = if discount.is_empty() {
@@ -221,12 +161,23 @@ impl Advisor {
             storage = snapshot.apply(&discount);
             &storage
         };
-        advise_on(
-            discounted,
-            current,
-            &self.request,
-            self.improvement_threshold,
-        )
+        let request = &self.request;
+        let best = select_in(discounted, request)?;
+        let table = RouteTable::build_for_sources(discounted.structure(), current.iter().copied());
+        let current_quality = evaluate_in(discounted, &table, current, request.reference_bandwidth);
+        let weights = match request.objective {
+            Objective::Balanced(w) => w,
+            _ => Weights::EQUAL,
+        };
+        let current_score = current_quality.score(weights);
+        let recommended = best.score > current_score * (1.0 + self.improvement_threshold)
+            && best.nodes != current;
+        Ok(MigrationAdvice {
+            current_quality,
+            current_score,
+            best,
+            recommended,
+        })
     }
 }
 
@@ -236,20 +187,11 @@ mod tests {
     use crate::request::SelectionRequest;
     use nodesel_topology::builders::star;
     use nodesel_topology::units::MBPS;
+    use nodesel_topology::Topology;
     use std::sync::Arc;
 
-    #[test]
-    fn discount_delta_matches_topology_discount() {
-        let (mut topo, ids) = star(3, 100.0 * MBPS);
-        topo.set_load_avg(ids[0], 1.0);
-        topo.set_load_avg(ids[1], 2.0);
-        let own = OwnUsage::one_process_per_node(&[ids[0], ids[1]]);
-        let snap = NetSnapshot::capture(Arc::new(topo.clone()));
-        let discounted = snap.apply(&discount_delta(&snap, &own));
-        let reference = discount_own_usage(&topo, &own);
-        for n in topo.node_ids() {
-            assert_eq!(discounted.load_avg(n), reference.node(n).load_avg());
-        }
+    fn capture(topo: Topology) -> NetSnapshot {
+        NetSnapshot::capture(Arc::new(topo))
     }
 
     #[test]
@@ -258,42 +200,9 @@ mod tests {
         topo.set_load_avg(ids[0], 3.0);
         // Two of our processes on the same node.
         let own = OwnUsage::one_process_per_node(&[ids[0], ids[0]]);
-        let snap = NetSnapshot::capture(Arc::new(topo));
+        let snap = capture(topo);
         let discounted = snap.apply(&discount_delta(&snap, &own));
         assert_eq!(discounted.load_avg(ids[0]), 1.0);
-    }
-
-    #[test]
-    fn advisor_matches_oneshot_advice_on_every_epoch() {
-        let (mut topo, ids) = star(4, 100.0 * MBPS);
-        topo.set_load_avg(ids[0], 1.0);
-        topo.set_load_avg(ids[1], 1.0);
-        let own = OwnUsage::one_process_per_node(&[ids[0], ids[1]]);
-        let snap = NetSnapshot::capture(Arc::new(topo));
-        let req = SelectionRequest::balanced(2);
-        let placed = [ids[0], ids[1]];
-        let advisor = Advisor::new(req.clone(), 0.25);
-        // Three competing jobs pile onto the first node, then leave.
-        let churn = |load| NetDelta {
-            nodes: vec![(ids[0], load)],
-            ..NetDelta::default()
-        };
-        let busy = snap.apply(&churn(4.0));
-        let calm = busy.apply(&churn(1.0));
-        let mut recommended = Vec::new();
-        for epoch in [&snap, &busy, &calm] {
-            let advice = advisor.advise(epoch, &placed, &own).unwrap();
-            let oneshot = advise(&epoch.to_topology(), &placed, &own, &req, 0.25).unwrap();
-            assert_eq!(advice.best, oneshot.best);
-            assert_eq!(advice.current_quality, oneshot.current_quality);
-            assert_eq!(advice.current_score, oneshot.current_score);
-            assert_eq!(advice.recommended, oneshot.recommended);
-            if advice.recommended {
-                assert_eq!(advice.vacated(&placed), vec![ids[0]]);
-            }
-            recommended.push(advice.recommended);
-        }
-        assert_eq!(recommended, [false, true, false]);
     }
 
     #[test]
@@ -302,10 +211,11 @@ mod tests {
         topo.set_load_avg(ids[0], 1.0); // entirely our own process
         topo.set_load_avg(ids[1], 2.0); // ours + one competitor
         let own = OwnUsage::one_process_per_node(&[ids[0], ids[1]]);
-        let clean = discount_own_usage(&topo, &own);
-        assert_eq!(clean.node(ids[0]).load_avg(), 0.0);
-        assert_eq!(clean.node(ids[1]).load_avg(), 1.0);
-        assert_eq!(clean.node(ids[2]).load_avg(), 0.0);
+        let snap = capture(topo);
+        let clean = snap.apply(&discount_delta(&snap, &own));
+        assert_eq!(clean.load_avg(ids[0]), 0.0);
+        assert_eq!(clean.load_avg(ids[1]), 1.0);
+        assert_eq!(clean.load_avg(ids[2]), 0.0);
     }
 
     #[test]
@@ -313,8 +223,9 @@ mod tests {
         let (mut topo, ids) = star(2, 100.0 * MBPS);
         topo.set_load_avg(ids[0], 0.5);
         let own = OwnUsage::one_process_per_node(&[ids[0]]);
-        let clean = discount_own_usage(&topo, &own);
-        assert_eq!(clean.node(ids[0]).load_avg(), 0.0);
+        let snap = capture(topo);
+        let clean = snap.apply(&discount_delta(&snap, &own));
+        assert_eq!(clean.load_avg(ids[0]), 0.0);
     }
 
     #[test]
@@ -324,14 +235,9 @@ mod tests {
         topo.set_load_avg(ids[0], 1.0);
         topo.set_load_avg(ids[1], 1.0);
         let own = OwnUsage::one_process_per_node(&[ids[0], ids[1]]);
-        let advice = advise(
-            &topo,
-            &[ids[0], ids[1]],
-            &own,
-            &SelectionRequest::balanced(2),
-            0.1,
-        )
-        .unwrap();
+        let advice = Advisor::new(SelectionRequest::balanced(2), 0.1)
+            .advise(&capture(topo), &[ids[0], ids[1]], &own)
+            .unwrap();
         assert!(!advice.recommended);
         assert_eq!(advice.current_score, 1.0);
     }
@@ -343,14 +249,9 @@ mod tests {
         topo.set_load_avg(ids[0], 4.0); // 1 ours + 3 competitors
         topo.set_load_avg(ids[1], 1.0); // ours only
         let own = OwnUsage::one_process_per_node(&[ids[0], ids[1]]);
-        let advice = advise(
-            &topo,
-            &[ids[0], ids[1]],
-            &own,
-            &SelectionRequest::balanced(2),
-            0.25,
-        )
-        .unwrap();
+        let advice = Advisor::new(SelectionRequest::balanced(2), 0.25)
+            .advise(&capture(topo), &[ids[0], ids[1]], &own)
+            .unwrap();
         assert!(advice.recommended);
         // The move vacates the busy node, not the quiet one.
         assert_eq!(advice.vacated(&[ids[0], ids[1]]), vec![ids[0]]);
@@ -363,14 +264,9 @@ mod tests {
         let (mut topo, ids) = star(4, 100.0 * MBPS);
         topo.set_load_avg(ids[0], 3.0);
         // No attributed load or traffic: the snapshot is used as measured.
-        let advice = advise(
-            &topo,
-            &[ids[0], ids[1]],
-            &OwnUsage::default(),
-            &SelectionRequest::balanced(2),
-            0.1,
-        )
-        .unwrap();
+        let advice = Advisor::new(SelectionRequest::balanced(2), 0.1)
+            .advise(&capture(topo), &[ids[0], ids[1]], &OwnUsage::default())
+            .unwrap();
         assert_eq!(advice.current_quality.min_cpu, 0.25);
         assert!(advice.recommended);
     }
@@ -382,9 +278,14 @@ mod tests {
         topo.set_load_avg(ids[0], 1.2); // ours + 0.2 competitors
         let own = OwnUsage::one_process_per_node(&[ids[0]]);
         let req = SelectionRequest::balanced(1);
-        let strict = advise(&topo, &[ids[0]], &own, &req, 0.5).unwrap();
+        let snap = capture(topo);
+        let strict = Advisor::new(req.clone(), 0.5)
+            .advise(&snap, &[ids[0]], &own)
+            .unwrap();
         assert!(!strict.recommended);
-        let eager = advise(&topo, &[ids[0]], &own, &req, 0.0).unwrap();
+        let eager = Advisor::new(req, 0.0)
+            .advise(&snap, &[ids[0]], &own)
+            .unwrap();
         assert!(eager.recommended);
     }
 }

@@ -96,103 +96,6 @@ pub fn evaluate_in<T: NetMetrics>(
     }
 }
 
-/// Precomputed pairwise route metrics over a fixed candidate pool.
-///
-/// [`evaluate`] walks the route table once per pair *per subset*, which the
-/// exhaustive oracle would repeat `O(C(n, m))` times. This cache pays the
-/// `O(n²)` route walks once, after which a subset grows one element at a
-/// time with `O(m)` array reads — the basis of the oracle's incremental
-/// prefix evaluation and its best-so-far pruning.
-///
-/// Indices are positions into the pool slice passed to
-/// [`PairwiseCache::new`], not [`NodeId`]s.
-#[derive(Debug, Clone)]
-pub struct PairwiseCache {
-    len: usize,
-    cpu: Vec<f64>,
-    bw: Vec<f64>,
-    bwfraction: Vec<f64>,
-    connected: Vec<bool>,
-}
-
-impl PairwiseCache {
-    /// Builds the cache for `pool` under the same
-    /// `reference_bandwidth` rule as [`evaluate`].
-    pub fn new(
-        topo: &Topology,
-        routes: &Routes<'_>,
-        pool: &[NodeId],
-        reference_bandwidth: Option<f64>,
-    ) -> Self {
-        let len = pool.len();
-        let cpu = pool.iter().map(|&n| topo.node(n).effective_cpu()).collect();
-        let mut bw = vec![f64::INFINITY; len * len];
-        let mut bwfraction = vec![1.0f64; len * len];
-        let mut connected = vec![true; len * len];
-        for i in 0..len {
-            for j in i + 1..len {
-                match routes.bottleneck_bw(pool[i], pool[j]) {
-                    Ok(b) => {
-                        let fraction = match reference_bandwidth {
-                            Some(r) => b / r,
-                            None => routes
-                                .bottleneck_bwfactor(pool[i], pool[j])
-                                .expect("bottleneck_bw succeeded on the same pair"),
-                        };
-                        bw[i * len + j] = b;
-                        bw[j * len + i] = b;
-                        bwfraction[i * len + j] = fraction;
-                        bwfraction[j * len + i] = fraction;
-                    }
-                    Err(_) => {
-                        connected[i * len + j] = false;
-                        connected[j * len + i] = false;
-                    }
-                }
-            }
-        }
-        PairwiseCache {
-            len,
-            cpu,
-            bw,
-            bwfraction,
-            connected,
-        }
-    }
-
-    /// Pool size.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True for an empty pool.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Effective CPU of pool member `i`.
-    pub fn cpu(&self, i: usize) -> f64 {
-        self.cpu[i]
-    }
-
-    /// Whether pool members `i` and `j` have a route.
-    pub fn connected(&self, i: usize, j: usize) -> bool {
-        self.connected[i * self.len + j]
-    }
-
-    /// Bottleneck available bandwidth between `i` and `j` (`+∞` when
-    /// `i == j`).
-    pub fn bw(&self, i: usize, j: usize) -> f64 {
-        self.bw[i * self.len + j]
-    }
-
-    /// Bottleneck fractional bandwidth between `i` and `j` (`1.0` when
-    /// `i == j`).
-    pub fn bwfraction(&self, i: usize, j: usize) -> f64 {
-        self.bwfraction[i * self.len + j]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,46 +166,6 @@ mod tests {
         let q = evaluate(&t, &r, &[n[0]], None);
         assert!(q.min_bw.is_infinite());
         assert_eq!(q.min_bwfraction, 1.0);
-    }
-
-    #[test]
-    fn pairwise_cache_matches_evaluate() {
-        let (mut t, n) = topo();
-        let e0 = t.edge_ids().next().unwrap();
-        t.set_link_used(e0, Direction::AtoB, 60.0 * MBPS);
-        t.set_load_avg(n[2], 1.0);
-        let r = t.routes();
-        let pool = [n[0], n[2], n[3]];
-        for reference in [None, Some(100.0 * MBPS)] {
-            let cache = PairwiseCache::new(&t, &r, &pool, reference);
-            assert_eq!(cache.len(), 3);
-            for i in 0..pool.len() {
-                assert_eq!(cache.cpu(i), t.node(pool[i]).effective_cpu());
-                for j in 0..pool.len() {
-                    if i == j {
-                        continue;
-                    }
-                    assert!(cache.connected(i, j));
-                    let q = evaluate(&t, &r, &[pool[i], pool[j]], reference);
-                    assert_eq!(cache.bw(i, j), q.min_bw);
-                    assert_eq!(cache.bwfraction(i, j), q.min_bwfraction);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn pairwise_cache_flags_disconnected_pairs() {
-        let mut t = Topology::new();
-        let a = t.add_compute_node("a", 1.0);
-        let b = t.add_compute_node("b", 1.0);
-        let c = t.add_compute_node("c", 1.0);
-        t.add_link(a, b, 10.0 * MBPS);
-        let r = t.routes();
-        let cache = PairwiseCache::new(&t, &r, &[a, b, c], None);
-        assert!(cache.connected(0, 1));
-        assert!(!cache.connected(0, 2));
-        assert!(!cache.connected(2, 1));
     }
 
     #[test]

@@ -40,9 +40,7 @@
 use crate::algorithms::{solve_in, Selection};
 use crate::request::{GreedyPolicy, Objective, SelectionRequest};
 use crate::SelectError;
-use nodesel_topology::{
-    EdgeId, NetDelta, NetSnapshot, NodeId, ResourceClaim, RouteTable, Topology,
-};
+use nodesel_topology::{EdgeId, NetDelta, NetSnapshot, NodeId, RouteTable, Topology};
 
 /// A selection engine over snapshot epochs.
 ///
@@ -145,23 +143,6 @@ impl SelectionFootprint {
             nodes,
             links,
         }
-    }
-
-    /// The footprint of an admitted placement's [`ResourceClaim`]: the
-    /// nodes and route edges whose annotations the claim perturbs. This
-    /// is the bridge from PR 8's footprint-intersection machinery to the
-    /// ledger — admitting or releasing a job produces a delta over
-    /// exactly this set, so [`SelectionFootprint::invalidated_by`]
-    /// decides which cached answers a ledger change can move, with
-    /// magnitudes carried by the claim itself.
-    pub fn of_claim(claim: &ResourceClaim) -> Self {
-        let mut edges: Vec<EdgeId> = claim.links.iter().map(|&(e, _, _)| e).collect();
-        edges.sort_unstable();
-        edges.dedup();
-        Self::reading(
-            claim.nodes.iter().map(|&(n, _)| n).collect(),
-            LinkFootprint::Edges(edges),
-        )
     }
 
     /// True when `delta` may change the answer's bits.

@@ -51,6 +51,18 @@ pub struct SupervisorPolicy {
     pub max_staleness: Option<u32>,
 }
 
+impl SupervisorPolicy {
+    /// Validates the policy: a non-negative hysteresis, a positive base
+    /// window, a growth factor that does not shrink it, and a cap that
+    /// covers the base. NaN anywhere fails.
+    pub fn validate(&self) -> bool {
+        self.hysteresis >= 0.0
+            && self.backoff_base > 0.0
+            && self.backoff_factor >= 1.0
+            && self.backoff_max >= self.backoff_base
+    }
+}
+
 impl Default for SupervisorPolicy {
     fn default() -> Self {
         SupervisorPolicy {
@@ -122,17 +134,12 @@ impl Supervisor {
     /// A supervisor for `request` under `policy`. The policy's staleness
     /// cap is merged into the request's constraints so every solve
     /// excludes too-stale candidates uniformly.
+    ///
+    /// # Panics
+    ///
+    /// When `policy` fails [`SupervisorPolicy::validate`].
     pub fn new(mut request: SelectionRequest, policy: SupervisorPolicy) -> Supervisor {
-        assert!(policy.hysteresis >= 0.0, "hysteresis must be non-negative");
-        assert!(policy.backoff_base > 0.0, "backoff base must be positive");
-        assert!(
-            policy.backoff_factor >= 1.0,
-            "backoff factor must not shrink the window"
-        );
-        assert!(
-            policy.backoff_max >= policy.backoff_base,
-            "backoff cap must cover the base window"
-        );
+        assert!(policy.validate(), "invalid supervisor policy: {policy:?}");
         if let Some(cap) = policy.max_staleness {
             request.constraints.max_staleness = Some(match request.constraints.max_staleness {
                 Some(existing) => existing.min(cap),

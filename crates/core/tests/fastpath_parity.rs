@@ -18,8 +18,8 @@
 use std::collections::HashSet;
 
 use nodesel_core::{
-    balanced, balanced_reference, exhaustive_select, exhaustive_select_reference, max_bandwidth,
-    max_bandwidth_reference, Constraints, ExhaustiveObjective, GreedyPolicy, Weights,
+    balanced, balanced_reference, max_bandwidth, max_bandwidth_reference, Constraints,
+    GreedyPolicy, Weights,
 };
 use nodesel_topology::builders::random_tree;
 use nodesel_topology::units::MBPS;
@@ -195,32 +195,4 @@ proptest! {
         }
     }
 
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn pruned_parallel_oracle_matches_serial_unpruned(
-        seed in 0u64..100_000,
-        computes in 2usize..9,
-        networks in 0usize..5,
-        chords in 0usize..3,
-    ) {
-        let (topo, ids) = random_topology(seed, computes, networks, chords);
-        let constraints = random_constraints(seed, &ids);
-        let m = 1 + (seed as usize) % ids.len().min(4);
-        let reference = if seed % 3 == 0 { Some(155.0 * MBPS) } else { None };
-        for objective in [
-            ExhaustiveObjective::MinCpu,
-            ExhaustiveObjective::MinBandwidth,
-            ExhaustiveObjective::Balanced(Weights::compute_priority(2.0)),
-        ] {
-            prop_assert_eq!(
-                exhaustive_select(&topo, m, objective, &constraints, reference),
-                exhaustive_select_reference(&topo, m, objective, &constraints, reference),
-                "objective {:?}", objective
-            );
-        }
-    }
 }

@@ -10,9 +10,7 @@ use nodesel_core::{
 };
 use nodesel_topology::builders::random_tree;
 use nodesel_topology::units::MBPS;
-use nodesel_topology::{
-    Direction, LedgerState, NetMetrics, NetSnapshot, NodeId, ResidualView, Topology,
-};
+use nodesel_topology::{Direction, LedgerState, NetMetrics, NetSnapshot, NodeId, Topology};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -150,30 +148,29 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
-    /// An empty [`LedgerState`] is invisible: the [`ResidualView`] over it
-    /// reads bit-identically to the raw snapshot on every accessor, and
-    /// the materialized residual (the ledger's delta applied to the
-    /// snapshot) gets bit-identical answers from the selector.
+    /// An empty [`LedgerState`] is invisible: the materialized residual
+    /// (the ledger's delta applied to the snapshot) reads bit-identically
+    /// to the raw snapshot on every accessor and gets bit-identical
+    /// answers from the selector.
     #[test]
     fn empty_ledger_residual_is_invisible_to_selection(seed in 0u64..100_000, computes in 3usize..8, networks in 0usize..5) {
         let (topo, ids) = random_conditions(seed, computes, networks);
         let snap = NetSnapshot::capture(Arc::new(topo));
         let ledger = LedgerState::new();
-        let view = ResidualView::new(&snap, &ledger);
+        let residual = snap.apply(&ledger.to_delta(&snap));
         let topo = snap.structure_arc();
         for n in topo.node_ids() {
-            prop_assert_eq!(view.load_avg(n).to_bits(), snap.load_avg(n).to_bits());
-            prop_assert_eq!(view.node_available(n), snap.node_available(n));
-            prop_assert_eq!(view.node_staleness(n), snap.node_staleness(n));
+            prop_assert_eq!(residual.load_avg(n).to_bits(), snap.load_avg(n).to_bits());
+            prop_assert_eq!(residual.node_available(n), snap.node_available(n));
+            prop_assert_eq!(residual.node_staleness(n), snap.node_staleness(n));
         }
         for e in topo.edge_ids() {
             for dir in [Direction::AtoB, Direction::BtoA] {
-                prop_assert_eq!(view.used(e, dir).to_bits(), snap.used(e, dir).to_bits());
+                prop_assert_eq!(residual.used(e, dir).to_bits(), snap.used(e, dir).to_bits());
             }
-            prop_assert_eq!(view.link_available(e), snap.link_available(e));
-            prop_assert_eq!(view.link_staleness(e), snap.link_staleness(e));
+            prop_assert_eq!(residual.link_available(e), snap.link_available(e));
+            prop_assert_eq!(residual.link_staleness(e), snap.link_staleness(e));
         }
-        let residual = snap.apply(&ledger.to_delta(&snap));
         let m = 1 + (seed as usize) % ids.len().min(4);
         for request in [
             SelectionRequest::compute(m),

@@ -12,10 +12,10 @@
 //!   files (provenance, history, no writes on a smoke run), shared by the
 //!   studies here and the benches in `nodesel-bench`;
 //! * [`driver`] — the single-trial machinery both are built on, reusable
-//!   by the Criterion benches and ablations. Trials split at the warm-up
-//!   boundary: a warmed simulator is [`nodesel_simnet::Sim::fork`]ed per
-//!   strategy, and batch runners drain all cells through one flat work
-//!   queue over scoped threads.
+//!   by the benches and ablations of `nodesel-bench`. Trials split at the
+//!   warm-up boundary: a warmed simulator is
+//!   [`nodesel_simnet::Sim::fork`]ed per strategy, and batch runners
+//!   drain all cells through one flat work queue over scoped threads.
 //!
 //! Every experiment is a pure function of its seed: the simulator, the
 //! generators and the selection algorithms are all deterministic, so rows

@@ -41,11 +41,6 @@ impl TrafficConfig {
             mean_size: 300.0 * 8.0 * 1_000_000.0,   // 300 MB (heavy tail)
         }
     }
-
-    /// Long-run average offered traffic in bits/s across the network.
-    pub fn offered_bits_per_sec(&self) -> f64 {
-        self.arrival_rate * self.mean_size
-    }
 }
 
 /// The network-wide Poisson message process, installed as a cloneable

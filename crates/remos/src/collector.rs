@@ -112,8 +112,6 @@ pub(crate) struct Samples {
     node_live: Vec<bool>,
     /// Believed-up flag per edge index, from the last sample attempt.
     link_live: Vec<bool>,
-    /// Time of the most recent sample.
-    pub(crate) last_sample: Option<SimTime>,
     /// Total samples taken.
     pub(crate) sample_count: u64,
     /// The maintained snapshot stream: the logical topology under
@@ -217,7 +215,6 @@ impl Samples {
                 self.link[slot].push(rate);
             }
         }
-        self.last_sample = Some(now);
         self.sample_count += 1;
         self.publish_snapshot();
     }
@@ -333,7 +330,6 @@ pub(crate) fn install(sim: &mut Sim, config: CollectorConfig) -> DriverId {
         link_misses: vec![0; pair_count],
         node_live: vec![true; node_count],
         link_live: vec![true; pair_count],
-        last_sample: Some(sim.now()),
         sample_count: 0,
         snap,
         delta_node_entries: 0,

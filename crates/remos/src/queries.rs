@@ -2,7 +2,7 @@
 
 use crate::collector::{install, CollectorConfig, Samples};
 use crate::estimator::Estimator;
-use nodesel_simnet::{DriverId, Sim, SimTime};
+use nodesel_simnet::{DriverId, Sim};
 use nodesel_topology::{Direction, NetMetrics, NetSnapshot, NodeId, Topology, TopologyError};
 use std::cell::Cell;
 use std::rc::Rc;
@@ -117,11 +117,6 @@ impl Remos {
     /// Number of collection rounds completed so far.
     pub fn sample_count(&self, sim: &Sim) -> u64 {
         self.samples(sim).sample_count
-    }
-
-    /// Time of the most recent sample, if any.
-    pub fn last_sample_time(&self, sim: &Sim) -> Option<SimTime> {
-        self.samples(sim).last_sample
     }
 
     /// The collector's published confidence: the minimum
@@ -332,6 +327,7 @@ impl Remos {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nodesel_simnet::SimTime;
     use nodesel_topology::builders::{chain, star};
     use nodesel_topology::units::MBPS;
     use nodesel_topology::NetMetrics;

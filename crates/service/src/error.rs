@@ -35,6 +35,10 @@ pub enum ServiceError {
     },
     /// The underlying selection failed; the ledger was not changed.
     Select(SelectError),
+    /// [`crate::ServiceConfig::supervisor`] fails
+    /// [`nodesel_core::SupervisorPolicy::validate`]: no job can be
+    /// supervised under it. The ledger was not touched.
+    InvalidSupervisorPolicy,
     /// The service shed the request instead of solving it: the in-flight
     /// solve gate was saturated and the request declined to block
     /// ([`crate::GetOptions::block_when_full`] was `false`). No answer
@@ -76,6 +80,9 @@ impl core::fmt::Display for ServiceError {
                 )
             }
             ServiceError::Select(e) => write!(f, "selection failed: {e}"),
+            ServiceError::InvalidSupervisorPolicy => {
+                f.write_str("the configured supervisor policy is invalid")
+            }
             ServiceError::Shed => f.write_str("request shed: solve gate saturated"),
             ServiceError::DeadlineExceeded { deadline, now } => {
                 write!(

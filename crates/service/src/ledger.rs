@@ -5,10 +5,10 @@
 //! [`SelectionRequest`] it was solved for, the nodes it received, a
 //! [`ResourceDemand`] (how much CPU and bandwidth the job is *declared*
 //! to consume), and the derived [`ResourceClaim`] charged against the
-//! shared [`LedgerState`]. The aggregate state is what a
-//! [`nodesel_topology::ResidualView`] subtracts from the raw snapshot,
-//! so the next admission is solved against capacity that is genuinely
-//! still free.
+//! shared [`LedgerState`]. The aggregate state is what
+//! [`LedgerState::to_delta`] adds onto the raw snapshot to materialize
+//! the residual one, so the next admission is solved against capacity
+//! that is genuinely still free.
 //!
 //! Every mutation bumps a **ledger version**. Versions extend the cache
 //! key exactly like epochs extend it for measurement churn: an answer is

@@ -289,9 +289,9 @@ pub struct ReconcileReport {
     /// Jobs released because their placement referenced entities absent
     /// from the current structure.
     pub released: Vec<JobId>,
-    /// Jobs whose advised re-selection failed; the ledger entry is
-    /// unchanged and a later sweep may recover it.
-    pub deferred: Vec<(JobId, SelectError)>,
+    /// Jobs whose supervision failed, with the error; the ledger entry
+    /// is unchanged and a later sweep may recover it.
+    pub deferred: Vec<(JobId, ServiceError)>,
 }
 
 /// A lock-free monotone service clock: an `f64` watermark stored as
@@ -935,20 +935,27 @@ impl PlacementService {
     /// calls for this job.
     ///
     /// Selection errors (e.g. too few live nodes) leave the ledger
-    /// unchanged; a later epoch may recover.
+    /// unchanged; a later epoch may recover. A
+    /// [`ServiceConfig::supervisor`] that fails
+    /// [`nodesel_core::SupervisorPolicy::validate`] is
+    /// [`ServiceError::InvalidSupervisorPolicy`] for every job.
     pub fn supervise(&self, job: JobId, now: f64) -> Result<SupervisorCheck, ServiceError> {
+        // Checked before the lock: `Supervisor::new` panics on a bad
+        // policy, and a panic under the ledger mutex poisons it.
+        let policy = self.config.supervisor;
+        if !policy.validate() {
+            return Err(ServiceError::InvalidSupervisorPolicy);
+        }
         let mut cell = self.lock_ledger();
         let raw = Arc::clone(&cell.raw);
         let delta = cell.ledger.residual_delta_excluding(&raw, job);
-        // Materialized residual-without-self; bit-identical to the view
-        // (see `nodesel_topology::residual`). An invisible remainder
+        // Materialized residual-without-self. An invisible remainder
         // reuses the raw snapshot unchanged.
         let excl = if delta.is_empty() {
             Arc::clone(&raw)
         } else {
             Arc::new(raw.apply(&delta))
         };
-        let policy = self.config.supervisor;
         let entry = cell.ledger.entry_mut(job)?;
         let own = OwnUsage::one_process_per_node(&entry.nodes);
         let current = entry.nodes.clone();
@@ -989,9 +996,11 @@ impl PlacementService {
     ///    quality moves respect hysteresis and per-job exponential
     ///    backoff, and each executed move is one atomic ledger version
     ///    bump ([`ReconcileReport::repaired`]);
-    /// 3. **deferred** — a job whose advised re-selection fails (e.g.
-    ///    too few live nodes) keeps its entry unchanged and is reported
-    ///    in [`ReconcileReport::deferred`]; a later sweep may recover it.
+    /// 3. **deferred** — a job whose supervision fails (its advised
+    ///    re-selection finds too few live nodes, or the configured
+    ///    supervisor policy is invalid) keeps its entry unchanged and is
+    ///    reported in [`ReconcileReport::deferred`]; a later sweep may
+    ///    recover it.
     ///
     /// Atomicity is **per job**, not per sweep: concurrent admissions
     /// and releases interleave safely between steps (a job released
@@ -1031,10 +1040,7 @@ impl PlacementService {
                 },
                 // Released between the vanished check and here.
                 Err(ServiceError::UnknownJob(_)) => {}
-                Err(ServiceError::Select(e)) => report.deferred.push((job, e)),
-                // Invariant, not caller-reachable: supervise returns
-                // only UnknownJob or Select errors.
-                Err(e) => unreachable!("supervise returned {e}"),
+                Err(e) => report.deferred.push((job, e)),
             }
         }
         StatsInner::bump(&self.stats.reconciles);
@@ -1318,6 +1324,58 @@ mod tests {
         );
         assert!(svc.get(&SelectionRequest::balanced(2)).result.is_ok());
         assert!(svc.stats().balanced());
+    }
+
+    #[test]
+    fn invalid_supervisor_policy_is_a_typed_error_not_a_poisoned_ledger() {
+        // `supervise` builds the job's `Supervisor` under the ledger
+        // mutex, and `Supervisor::new` panics on a bad policy.
+        let good = SupervisorPolicy::default();
+        let bad_policies = [
+            SupervisorPolicy {
+                hysteresis: f64::NAN,
+                ..good
+            },
+            SupervisorPolicy {
+                hysteresis: -1.0,
+                ..good
+            },
+            SupervisorPolicy {
+                backoff_base: 0.0,
+                ..good
+            },
+            SupervisorPolicy {
+                backoff_factor: 0.5,
+                ..good
+            },
+            SupervisorPolicy {
+                backoff_max: good.backoff_base / 2.0,
+                ..good
+            },
+        ];
+        for supervisor in bad_policies {
+            let (svc, _) = service_with(ServiceConfig {
+                supervisor,
+                ..ServiceConfig::default()
+            });
+            let request = SelectionRequest::balanced(2);
+            let admission = svc.admit(&request).unwrap();
+            assert_eq!(
+                svc.supervise(admission.job, 0.0).err(),
+                Some(ServiceError::InvalidSupervisorPolicy),
+                "{supervisor:?}"
+            );
+            let sweep = svc.reconcile(1.0);
+            assert_eq!(
+                sweep.deferred,
+                vec![(admission.job, ServiceError::InvalidSupervisorPolicy)]
+            );
+            // The ledger still answers, admits and counts.
+            assert!(svc.get(&request).result.is_ok());
+            assert!(svc.admit(&request).is_ok());
+            assert_eq!(svc.active_jobs(), 2);
+            assert!(svc.stats().balanced());
+        }
     }
 
     #[test]

@@ -195,13 +195,8 @@ impl Sim {
     /// utilizations stored in `topo` are ignored: the simulator derives
     /// them from actual activity.
     pub fn new(topo: Topology) -> Self {
-        Self::with_load_avg_tau(topo, DEFAULT_LOAD_AVG_TAU)
-    }
-
-    /// Like [`Sim::new`] with an explicit load-average time constant.
-    pub fn with_load_avg_tau(topo: Topology, tau: f64) -> Self {
         let routes = Arc::new(RouteTable::build(&topo));
-        Self::with_shared(Arc::new(topo), routes, tau)
+        Self::with_shared(Arc::new(topo), routes, DEFAULT_LOAD_AVG_TAU)
     }
 
     /// Like [`Sim::new`] on an explicit flow engine: how the parity
@@ -263,7 +258,7 @@ impl Sim {
     // ----- Checkpoint / fork ----------------------------------------------
 
     /// True when the simulator holds no opaque closure anywhere — no
-    /// queued [`Sim::schedule_at`]/[`Sim::schedule_in`] event and no
+    /// queued [`Sim::schedule_in`] event and no
     /// pending task/transfer completion callback — so its entire state is
     /// data and [`Sim::fork`] is legal.
     ///
@@ -443,13 +438,6 @@ impl Sim {
             key: EventKey { at, seq },
             kind,
         }));
-    }
-
-    /// Schedules `f` to run at absolute time `at` (clamped to now).
-    pub fn schedule_at(&mut self, at: SimTime, f: impl FnOnce(&mut Sim) + 'static) {
-        let at = at.max(self.time);
-        self.user_events += 1;
-        self.push(at, EventKind::User(Box::new(f)));
     }
 
     /// Schedules `f` to run `delay_secs` from now.

@@ -430,12 +430,6 @@ impl FlowTable {
         any
     }
 
-    /// Current capacity of a directed link, including any fault override
-    /// applied through [`FlowTable::set_capacities`].
-    pub fn capacity_of(&self, edge: EdgeId, dir: Direction) -> f64 {
-        self.capacity[DirLink { edge, dir }.slot()]
-    }
-
     /// Ids of live flows whose source or destination is `n`, ascending.
     /// Used by the engine to abort a crashed node's transfers.
     pub fn flows_with_endpoint(&self, n: NodeId) -> Vec<FlowId> {

@@ -76,8 +76,8 @@ pub use graph::Topology;
 pub use ids::{EdgeId, NodeId};
 pub use link::{Direction, Link};
 pub use node::{Node, NodeKind};
-pub use residual::{LedgerState, ResidualView, ResourceClaim};
-pub use route::{Path, RouteScratch, RouteTable, Routes};
+pub use residual::{LedgerState, ResourceClaim};
+pub use route::{Path, RouteTable, Routes};
 pub use snapshot::{staleness_confidence, NetDelta, NetMetrics, NetSnapshot};
 pub use unionfind::UnionFind;
 pub use view::{Component, GraphView};

@@ -1,38 +1,32 @@
-//! Residual capacity: a ledger of admitted placements and the
-//! [`NetMetrics`] view that subtracts them from a snapshot.
+//! Residual capacity: a ledger of admitted placements and the delta
+//! that materializes them onto a snapshot.
 //!
 //! Every selection algorithm in `nodesel-core` scores *measured* load
 //! and traffic, which lags reality: a job admitted a moment ago has not
 //! yet shown up in any Remos sample, so two concurrent admissions
 //! happily pick the same "best" nodes and trunk links and then starve
 //! each other. A [`LedgerState`] records the resource footprints
-//! ([`ResourceClaim`]) of every admitted-but-not-yet-measured placement;
-//! a [`ResidualView`] over `(NetSnapshot, LedgerState)` implements
-//! [`NetMetrics`] by *adding* the claimed load and traffic onto the raw
-//! measurements, so `effective_cpu` and `available` shrink by exactly
-//! the admitted demand. Because the core algorithms are generic over
-//! `NetMetrics` (the `*_in` entry points), they become contention-aware
-//! without touching their inner loops.
+//! ([`ResourceClaim`]) of every admitted-but-not-yet-measured placement,
+//! and [`LedgerState::to_delta`] turns them into a [`NetDelta`] that
+//! *adds* the claimed load and traffic onto the raw measurements:
+//! `snapshot.apply(&ledger.to_delta(&snapshot))` is the *residual*
+//! network — a real [`NetSnapshot`] whose `effective_cpu` and `available`
+//! have shrunk by exactly the admitted demand — and the one thing the
+//! placement service and the `Supervisor` solve on. The core algorithms
+//! become contention-aware without touching their inner loops.
 //!
 //! # Bit-exactness contract
 //!
-//! Two invariants make the view safe to thread through the bit-identical
-//! answer machinery of the placement service:
-//!
 //! * **An empty ledger is invisible.** With no claims (or only
-//!   zero-magnitude claims — zero amounts are never stored), every
-//!   [`ResidualView`] metric returns the raw snapshot value *untouched*:
-//!   pass-through, never `raw + 0.0`, so the bits are identical by
-//!   construction. Proptests in `nodesel-service` and `nodesel-core`
-//!   guard this.
-//! * **View and materialization agree.** [`LedgerState::to_delta`]
-//!   emits `raw + extra` for exactly the entities a claim touches, so
-//!   `snapshot.apply(&ledger.to_delta(&snapshot))` is a real
-//!   [`NetSnapshot`] whose metrics are bit-identical to the
-//!   [`ResidualView`]'s (the same two `f64` operands are added either
-//!   way). Consumers that need a concrete snapshot — the `Supervisor`,
-//!   the service's pinned residual — materialize; everything else can
-//!   borrow the view.
+//!   zero-magnitude claims — zero amounts are never stored) the delta is
+//!   empty, and `apply` of an empty delta shares every annotation array
+//!   with the raw snapshot: the bits are identical by construction,
+//!   never `raw + 0.0`. Proptests in `nodesel-service` and
+//!   `nodesel-core` guard this.
+//! * **Only claimed entities are rewritten.** The delta carries
+//!   `raw + extra` for exactly the entities a claim touches; every other
+//!   annotation, and all health (availability, staleness — a claim
+//!   reserves capacity, it says nothing about liveness), passes through.
 //!
 //! Aggregated extras are recomputed from scratch in ascending
 //! job-id order on every insert *and* removal: floating-point addition
@@ -143,7 +137,7 @@ fn slot_dir(slot: usize) -> Direction {
 }
 
 /// The claims of every admitted placement, keyed by an opaque job id,
-/// with the per-entity aggregates a [`ResidualView`] reads.
+/// with the per-entity aggregates [`LedgerState::to_delta`] adds on.
 ///
 /// Insertion order never matters: aggregates are recomputed from
 /// scratch in ascending job-id order on every change, so the state
@@ -230,15 +224,9 @@ impl LedgerState {
         self.extra_load.get(&n.index()).copied()
     }
 
-    /// Extra consumed bandwidth claimed on `(e, dir)`, if any.
-    pub fn extra_used(&self, e: EdgeId, dir: Direction) -> Option<f64> {
-        self.extra_used.get(&dir_slot(e, dir)).copied()
-    }
-
     /// The delta that materializes this ledger onto `snap`: for every
-    /// touched entity, the raw annotation plus the aggregate extra —
-    /// the same `raw + extra` a [`ResidualView`] computes, so
-    /// `snap.apply(&delta)` is bit-identical to the view. An invisible
+    /// touched entity, the raw annotation plus the aggregate extra, so
+    /// `snap.apply(&delta)` is the residual network. An invisible
     /// ledger yields an empty delta (and `apply` then shares every
     /// array).
     pub fn to_delta(&self, snap: &NetSnapshot) -> NetDelta {
@@ -327,75 +315,6 @@ impl LedgerState {
     }
 }
 
-/// [`NetMetrics`] over a raw snapshot with a ledger's claims added on:
-/// the *residual* network the next admission should be solved against.
-///
-/// Raw metrics pass through untouched wherever no claim reaches —
-/// the arithmetic `raw + extra` happens only for claimed entities — so
-/// an invisible ledger makes the view bit-identical to the snapshot.
-/// Health (availability, staleness) always passes through: a claim
-/// reserves capacity, it says nothing about liveness.
-#[derive(Debug, Clone, Copy)]
-pub struct ResidualView<'a> {
-    snap: &'a NetSnapshot,
-    ledger: &'a LedgerState,
-}
-
-impl<'a> ResidualView<'a> {
-    /// The residual view of `snap` under `ledger`.
-    pub fn new(snap: &'a NetSnapshot, ledger: &'a LedgerState) -> ResidualView<'a> {
-        ResidualView { snap, ledger }
-    }
-
-    /// The underlying raw snapshot.
-    pub fn snapshot(&self) -> &'a NetSnapshot {
-        self.snap
-    }
-
-    /// The ledger whose claims this view subtracts.
-    pub fn ledger(&self) -> &'a LedgerState {
-        self.ledger
-    }
-}
-
-impl NetMetrics for ResidualView<'_> {
-    fn structure(&self) -> &Topology {
-        self.snap.structure()
-    }
-
-    fn load_avg(&self, n: NodeId) -> f64 {
-        let raw = self.snap.load_avg(n);
-        match self.ledger.extra_load(n) {
-            Some(extra) => raw + extra,
-            None => raw,
-        }
-    }
-
-    fn used(&self, e: EdgeId, dir: Direction) -> f64 {
-        let raw = self.snap.used(e, dir);
-        match self.ledger.extra_used(e, dir) {
-            Some(extra) => raw + extra,
-            None => raw,
-        }
-    }
-
-    fn node_available(&self, n: NodeId) -> bool {
-        self.snap.node_available(n)
-    }
-
-    fn link_available(&self, e: EdgeId) -> bool {
-        self.snap.link_available(e)
-    }
-
-    fn node_staleness(&self, n: NodeId) -> u32 {
-        self.snap.node_staleness(n)
-    }
-
-    fn link_staleness(&self, e: EdgeId) -> u32 {
-        self.snap.link_staleness(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -416,27 +335,29 @@ mod tests {
         let (snap, _) = snap_star(4);
         let ledger = LedgerState::new();
         assert!(ledger.is_invisible());
-        let view = ResidualView::new(&snap, &ledger);
+        // Materialization of an invisible ledger is an empty delta, and
+        // applying it shares every annotation array with the raw snapshot.
+        let delta = ledger.to_delta(&snap);
+        assert!(delta.is_empty());
+        let residual = snap.apply(&delta);
         for i in 0..snap.structure().node_count() {
             let n = NodeId::from_index(i);
-            assert_eq!(view.load_avg(n).to_bits(), snap.load_avg(n).to_bits());
+            assert_eq!(residual.load_avg(n).to_bits(), snap.load_avg(n).to_bits());
             assert_eq!(
-                view.effective_cpu(n).to_bits(),
+                residual.effective_cpu(n).to_bits(),
                 snap.effective_cpu(n).to_bits()
             );
         }
         for e in snap.structure().edge_ids() {
             for dir in [Direction::AtoB, Direction::BtoA] {
-                assert_eq!(view.used(e, dir).to_bits(), snap.used(e, dir).to_bits());
+                assert_eq!(residual.used(e, dir).to_bits(), snap.used(e, dir).to_bits());
                 assert_eq!(
-                    view.available(e, dir).to_bits(),
+                    residual.available(e, dir).to_bits(),
                     snap.available(e, dir).to_bits()
                 );
             }
-            assert_eq!(view.bw(e).to_bits(), snap.bw(e).to_bits());
+            assert_eq!(residual.bw(e).to_bits(), snap.bw(e).to_bits());
         }
-        // Materialization of an invisible ledger is an empty delta.
-        assert!(ledger.to_delta(&snap).is_empty());
     }
 
     #[test]
@@ -461,64 +382,25 @@ mod tests {
         assert!(!claim.links.is_empty());
         let mut ledger = LedgerState::new();
         ledger.insert(7, claim.clone());
-        let view = ResidualView::new(&snap, &ledger);
+        let residual = snap.apply(&ledger.to_delta(&snap));
         // Claimed node: load rises by exactly the claim; CPU drops.
         assert_eq!(
-            view.load_avg(placed[0]).to_bits(),
+            residual.load_avg(placed[0]).to_bits(),
             (snap.load_avg(placed[0]) + 1.0).to_bits()
         );
-        assert!(view.effective_cpu(placed[0]) < snap.effective_cpu(placed[0]));
+        assert!(residual.effective_cpu(placed[0]) < snap.effective_cpu(placed[0]));
         // Unclaimed node: untouched bits.
         assert_eq!(
-            view.load_avg(ids[1]).to_bits(),
+            residual.load_avg(ids[1]).to_bits(),
             snap.load_avg(ids[1]).to_bits()
         );
         // Every claimed link direction loses available bandwidth.
         for &(e, dir, amount) in &claim.links {
             assert_eq!(
-                view.used(e, dir).to_bits(),
+                residual.used(e, dir).to_bits(),
                 (snap.used(e, dir) + amount).to_bits()
             );
-            assert!(view.available(e, dir) <= snap.available(e, dir));
-        }
-    }
-
-    #[test]
-    fn view_matches_materialized_snapshot_bitwise() {
-        let (snap, ids) = snap_star(5);
-        let mut ledger = LedgerState::new();
-        ledger.insert(
-            1,
-            ResourceClaim::for_placement(snap.structure(), &ids[..3], 1.0, 2.0 * MBPS),
-        );
-        ledger.insert(
-            2,
-            ResourceClaim::for_placement(snap.structure(), &ids[2..4], 2.0, 1.0 * MBPS),
-        );
-        let view = ResidualView::new(&snap, &ledger);
-        let materialized = snap.apply(&ledger.to_delta(&snap));
-        for i in 0..snap.structure().node_count() {
-            let n = NodeId::from_index(i);
-            assert_eq!(
-                view.load_avg(n).to_bits(),
-                materialized.load_avg(n).to_bits()
-            );
-            assert_eq!(
-                view.effective_cpu(n).to_bits(),
-                materialized.effective_cpu(n).to_bits()
-            );
-        }
-        for e in snap.structure().edge_ids() {
-            for dir in [Direction::AtoB, Direction::BtoA] {
-                assert_eq!(
-                    view.used(e, dir).to_bits(),
-                    materialized.used(e, dir).to_bits()
-                );
-                assert_eq!(
-                    view.available(e, dir).to_bits(),
-                    materialized.available(e, dir).to_bits()
-                );
-            }
+            assert!(residual.available(e, dir) <= snap.available(e, dir));
         }
     }
 

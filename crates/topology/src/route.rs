@@ -69,27 +69,6 @@ pub struct RouteTable {
     parent: Vec<Option<EdgeId>>,
 }
 
-/// Reusable BFS working memory for [`RouteTable::build_for_sources_with`].
-///
-/// Mirrors [`crate::maxmin::MaxMinScratch`]: a caller that builds many
-/// partial route tables (per-domain scoring, pairwise caches, repeated
-/// selections) holds one scratch so the distance slab and BFS queue are
-/// reused across every queried source and every call — after warm-up a
-/// build allocates only the table it returns, never per-row working
-/// memory.
-#[derive(Debug, Default, Clone)]
-pub struct RouteScratch {
-    dist: Vec<u32>,
-    queue: VecDeque<NodeId>,
-}
-
-impl RouteScratch {
-    /// Creates empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 impl RouteTable {
     /// Builds the full table: one BFS row per node.
     pub fn build(topo: &Topology) -> Self {
@@ -102,17 +81,6 @@ impl RouteTable {
     /// sources exactly as the full table would — including paths through
     /// arbitrary intermediate nodes — and panics on any other `src`.
     pub fn build_for_sources(topo: &Topology, sources: impl IntoIterator<Item = NodeId>) -> Self {
-        Self::build_for_sources_with(topo, sources, &mut RouteScratch::new())
-    }
-
-    /// [`RouteTable::build_for_sources`] with caller-provided working
-    /// memory; the returned table is identical. Rows reuse `scratch`'s
-    /// distance slab and BFS queue instead of reallocating per source.
-    pub fn build_for_sources_with(
-        topo: &Topology,
-        sources: impl IntoIterator<Item = NodeId>,
-        scratch: &mut RouteScratch,
-    ) -> Self {
         let n = topo.node_count();
         let mut row_of = vec![u32::MAX; n];
         let mut srcs: Vec<NodeId> = Vec::new();
@@ -123,13 +91,11 @@ impl RouteTable {
             }
         }
         let mut parent = vec![None; srcs.len() * n];
-        scratch.dist.resize(n, u32::MAX);
-        let dist = &mut scratch.dist[..n];
-        let queue = &mut scratch.queue;
+        // One distance slab and one queue serve every row.
+        let mut dist = vec![u32::MAX; n];
+        let mut queue = VecDeque::new();
         for (row, &s) in srcs.iter().enumerate() {
-            for d in dist.iter_mut() {
-                *d = u32::MAX;
-            }
+            dist.fill(u32::MAX);
             dist[s.index()] = 0;
             queue.clear();
             queue.push_back(s);
@@ -289,19 +255,6 @@ impl<'a> Routes<'a> {
         }
     }
 
-    /// [`Routes::for_sources`] with caller-provided BFS working memory
-    /// ([`RouteScratch`]): identical routes, no per-row allocations.
-    pub fn for_sources_with(
-        topo: &'a Topology,
-        sources: impl IntoIterator<Item = NodeId>,
-        scratch: &mut RouteScratch,
-    ) -> Self {
-        Routes {
-            topo,
-            table: RouteTable::build_for_sources_with(topo, sources, scratch),
-        }
-    }
-
     /// The underlying topology.
     pub fn topology(&self) -> &'a Topology {
         self.topo
@@ -448,32 +401,6 @@ mod tests {
         assert_eq!(p.hops[0].0, diag);
         // Routes are stable: asking twice gives the identical path.
         assert_eq!(r.path(a, c).unwrap(), p);
-    }
-
-    #[test]
-    fn reused_scratch_builds_identical_tables() {
-        let (t, n, _) = chain();
-        let mut scratch = RouteScratch::new();
-        // Several builds over the same scratch, different source sets and
-        // (via a second topology) a different node count.
-        for sources in [vec![n[0]], vec![n[2], n[1]], n.to_vec()] {
-            let fresh = Routes::for_sources(&t, sources.iter().copied());
-            let reused = Routes::for_sources_with(&t, sources.iter().copied(), &mut scratch);
-            for &src in &sources {
-                for dst in n {
-                    assert_eq!(
-                        reused.path(src, dst).unwrap(),
-                        fresh.path(src, dst).unwrap()
-                    );
-                }
-            }
-        }
-        let mut small = Topology::new();
-        let a = small.add_compute_node("a", 1.0);
-        let b = small.add_compute_node("b", 1.0);
-        small.add_link(a, b, MBPS);
-        let r = Routes::for_sources_with(&small, [a], &mut scratch);
-        assert_eq!(r.path(a, b).unwrap().len(), 1);
     }
 
     #[test]

@@ -374,19 +374,9 @@ impl NetSnapshot {
         &self.node_avail
     }
 
-    /// The raw link-availability array (per edge index).
-    pub fn link_avail_values(&self) -> &[bool] {
-        &self.link_avail
-    }
-
     /// The raw node-staleness array (per node index).
     pub fn node_stale_values(&self) -> &[u32] {
         &self.node_stale
-    }
-
-    /// The raw link-staleness array (per edge index).
-    pub fn link_stale_values(&self) -> &[u32] {
-        &self.link_stale
     }
 
     /// Derives the next epoch by applying a delta.

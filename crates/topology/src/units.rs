@@ -14,9 +14,6 @@ pub const MBPS: f64 = 1_000_000.0;
 /// One gigabit per second, in bits per second.
 pub const GBPS: f64 = 1_000_000_000.0;
 
-/// One kilobyte, in bits (transfer sizes are expressed in bits).
-pub const KILOBYTE: f64 = 8.0 * 1_000.0;
-
 /// One megabyte, in bits.
 pub const MEGABYTE: f64 = 8.0 * 1_000_000.0;
 

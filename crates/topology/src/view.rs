@@ -83,11 +83,6 @@ impl<'a> GraphView<'a> {
         }
     }
 
-    /// True if the edge is currently removed.
-    pub fn is_removed(&self, e: EdgeId) -> bool {
-        self.removed[e.index()]
-    }
-
     /// Number of live (non-removed) edges.
     pub fn live_edge_count(&self) -> usize {
         self.topo.link_count() - self.removed_count
